@@ -8,12 +8,16 @@ simulator: each tick it
 1. measures the platform's demand in **IPC-scaled work** (instructions
    per second), so a cycle on a little core and a cycle on a big core
    are weighed by what they actually retire;
-2. enumerates candidate placements -- how many cores of each frequency
+2. considers candidate placements -- how many cores of each frequency
    domain to keep online -- and, per placement, the cross product of
    per-domain operating points;
-3. costs every feasible candidate with the section-4.1 power model
+3. prices every candidate with the section-4.1 power model
    (:meth:`~repro.soc.power_model.CpuPowerModel.predict_cpu_mw`, one
-   evaluation per domain) and picks the cheapest;
+   evaluation per domain) in a few whole-array numpy operations over a
+   candidate table built once per policy: one row per placement, one
+   column per OPP combination, each cell holding its capacity and its
+   per-domain power terms.  Costs add up domain by domain in the scalar
+   model's float order, and the cheapest feasible candidate wins;
 4. applies hysteresis before changing the online mask, so the placement
    does not thrash between adjacent operating points.
 
@@ -28,15 +32,47 @@ exactly the comparison the big.LITTLE end-to-end test pins down.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .base import CpuPolicy, PolicyDecision, SystemObservation
 from ..errors import ConfigError
 from ..soc.power_model import CpuPowerModel
 from ..soc.topology import ClusterSpec
-from ..units import clamp, require_fraction, require_positive
+from ..units import require_fraction, require_positive
 
 __all__ = ["EnergyAwarePolicy"]
+
+
+def _opp_options(spec: ClusterSpec) -> Tuple[np.ndarray, ...]:
+    """Per-OPP terms of one domain, as arrays indexed by OPP.
+
+    ``(capacity_ips, frequency_khz, dynamic_mw, static_mw,
+    cluster_overhead_mw, cache_mw)``: one core's capacity, the model's
+    Eq. (1)/(2) terms from the domain's own
+    :class:`~repro.soc.power_model.CpuPowerModel`, the shared-domain
+    overhead and the cache power at full busy.  Each is computed with
+    the same expression ``predict_cpu_mw`` uses, so a candidate's cost
+    is exactly that model evaluated inline.
+    """
+    model = CpuPowerModel(spec.power_params, spec.opp_table)
+    params = spec.power_params
+    opps = [spec.opp_table.by_index(i) for i in range(len(spec.opp_table))]
+    spans = [spec.opp_table.span_fraction(opp.frequency_khz) for opp in opps]
+    return (
+        np.array([spec.ipc_scale * 1000.0 * opp.frequency_khz for opp in opps]),
+        np.array([opp.frequency_khz for opp in opps], dtype=np.int64),
+        np.array([model.dynamic_power_mw(opp) for opp in opps]),
+        np.array([model.static_power_mw(opp) for opp in opps]),
+        np.array(
+            [
+                params.cluster_overhead_base_mw + params.cluster_overhead_span_mw * span
+                for span in spans
+            ]
+        ),
+        np.array([params.cache_base_mw + params.cache_span_mw * span for span in spans]),
+    )
 
 
 class EnergyAwarePolicy(CpuPolicy):
@@ -57,6 +93,12 @@ class EnergyAwarePolicy(CpuPolicy):
             saturated -- measured load then under-reports true demand.
         burst_boost: Demand multiplier applied while saturated, so the
             placement search can climb out of a too-small configuration.
+
+    Attributes:
+        placements: Every per-domain online-count vector the topology
+            allows, in ``itertools.product`` order; the first domain owns
+            the boot core, so its count never drops to zero.  Row ``r``
+            of :meth:`price_placements` is ``placements[r]``.
     """
 
     def __init__(
@@ -81,6 +123,11 @@ class EnergyAwarePolicy(CpuPolicy):
             raise ConfigError(
                 f"min_residency_ticks must be >= 0, got {min_residency_ticks}"
             )
+        if not 0.0 < burst_threshold_percent <= 100.0:
+            raise ConfigError(
+                "burst_threshold_percent must lie in (0, 100], "
+                f"got {burst_threshold_percent}"
+            )
         require_positive(burst_boost, "burst_boost")
         self.name = "energy-aware"
         self.cluster_specs = tuple(cluster_specs)
@@ -89,33 +136,23 @@ class EnergyAwarePolicy(CpuPolicy):
         self.min_residency_ticks = min_residency_ticks
         self.burst_threshold_percent = burst_threshold_percent
         self.burst_boost = burst_boost
-        self._models = tuple(
-            CpuPowerModel(spec.power_params, spec.opp_table)
-            for spec in self.cluster_specs
+
+        # The topology, by global core id: its domain, the domain's IPC
+        # scale, and per domain its member cores in id order.
+        self._layout = tuple(
+            domain
+            for domain, spec in enumerate(self.cluster_specs)
+            for _ in range(spec.num_cores)
         )
-        # Per-domain OPP option tables, precomputed so the placement
-        # search costs arithmetic only: (capacity_ips, frequency_khz,
-        # dynamic_mw, static_mw, span_fraction) per operating point.
-        # The model terms come from the domain's own CpuPowerModel, so a
-        # candidate's cost is exactly predict_cpu_mw evaluated inline.
-        self._opp_options: Tuple[Tuple[Tuple[float, int, float, float, float], ...], ...]
-        self._opp_options = tuple(
-            tuple(
-                (
-                    spec.ipc_scale * 1000.0 * opp.frequency_khz,
-                    opp.frequency_khz,
-                    model.dynamic_power_mw(opp),
-                    model.static_power_mw(opp),
-                    spec.opp_table.span_fraction(opp.frequency_khz),
-                )
-                for opp in (
-                    spec.opp_table.by_index(i) for i in range(len(spec.opp_table))
-                )
-            )
-            for spec, model in zip(self.cluster_specs, self._models)
+        self._num_cores = len(self._layout)
+        self._ipc_scale = tuple(self.cluster_specs[d].ipc_scale for d in self._layout)
+        self._members = tuple(
+            tuple(core for core, d in enumerate(self._layout) if d == domain)
+            for domain in range(len(self.cluster_specs))
         )
-        self._num_cores = sum(spec.num_cores for spec in self.cluster_specs)
-        self._counts: Optional[Tuple[int, ...]] = None
+        self._fmax = tuple(spec.opp_table.max_frequency_khz for spec in self.cluster_specs)
+        self._build_candidate_table()
+        self._row: Optional[int] = None
         self._ticks_since_switch = 0
 
     @classmethod
@@ -125,17 +162,100 @@ class EnergyAwarePolicy(CpuPolicy):
 
     def reset(self) -> None:
         """Forget the held placement (fresh session, fresh hysteresis)."""
-        self._counts = None
+        self._row = None
         self._ticks_since_switch = 0
 
-    # -- demand measurement ----------------------------------------------
+    # -- the candidate table -------------------------------------------------
 
-    def _members(self, observation: SystemObservation) -> List[List[int]]:
-        """Global core ids per frequency domain, in id order."""
-        members: List[List[int]] = [[] for _ in self.cluster_specs]
-        for core_id in range(observation.num_cores):
-            members[observation.cluster_of(core_id)].append(core_id)
-        return members
+    def _build_candidate_table(self) -> None:
+        """Enumerate every (placement, OPP combination) candidate once.
+
+        Row ``r`` holds placement ``self.placements[r]``; its columns
+        are the cross product of its active domains' OPPs in
+        ``itertools.product`` order, so a first-minimum ``argmin`` keeps
+        the first of equally cheap combinations.  A row with fewer
+        combinations than the widest is padded with NaN capacity, which
+        fails every feasibility comparison.  Per domain, each cell holds
+        the domain's core count and its OPP's power terms, with the
+        cluster overhead only where the count is at least two; a domain
+        a placement powers down holds zeros, so it adds an exact ``+0.0``.
+        """
+        options = [_opp_options(spec) for spec in self.cluster_specs]
+        self.placements = tuple(
+            itertools.product(
+                *(
+                    range(1 if domain == 0 else 0, spec.num_cores + 1)
+                    for domain, spec in enumerate(self.cluster_specs)
+                )
+            )
+        )
+        combos = []
+        for counts in self.placements:
+            active = [domain for domain, count in enumerate(counts) if count > 0]
+            sizes = [len(options[domain][0]) for domain in active]
+            combos.append((active, np.indices(sizes).reshape(len(active), -1)))
+        shape = (len(self.placements), max(grid.shape[1] for _, grid in combos))
+        domains = len(self.cluster_specs)
+        capacity = np.full(shape, np.nan)
+        # Per domain: count, dynamic, static, overhead, cache (price order).
+        terms = np.zeros((domains, 5) + shape)
+        frequency = np.zeros(shape + (domains,), dtype=np.int64)
+        for row, (counts, (active, grid)) in enumerate(zip(self.placements, combos)):
+            cells = (row, slice(0, grid.shape[1]))
+            # Python's sum(), domain by domain: the scalar capacity order.
+            capacity[cells] = sum(
+                counts[domain] * options[domain][0][index]
+                for domain, index in zip(active, grid)
+            )
+            for domain, index in zip(active, grid):
+                _, freqs, dynamic, static, overhead, cache = options[domain]
+                terms[domain, 0][cells] = counts[domain]
+                terms[domain, 1][cells] = dynamic[index]
+                terms[domain, 2][cells] = static[index]
+                if counts[domain] >= 2:
+                    terms[domain, 3][cells] = overhead[index]
+                terms[domain, 4][cells] = cache[index]
+                frequency[row, : grid.shape[1], domain] = freqs[index]
+        self._capacity = capacity
+        self._positive = capacity > 0.0
+        self._terms = tuple(tuple(domain_terms) for domain_terms in terms)
+        self._frequency = frequency
+        self._rows = np.arange(len(self.placements))
+        self._sizes = np.array([sum(counts) for counts in self.placements])
+
+    def price_placements(
+        self, demand_ips: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cheapest feasible operating point of every placement.
+
+        Returns ``(cost_mw, frequencies_khz, feasible)``, one entry per
+        row of :attr:`placements`: the predicted CPU power of the row's
+        cheapest OPP combination that carries *demand_ips* within the
+        headroom target, that combination's per-domain frequencies
+        (shape ``(rows, domains)``, 0 for a powered-down domain), and
+        whether any combination is feasible -- where none is, the row's
+        cost is ``inf`` and its frequencies mean nothing.  Demand is
+        assumed to water-fill proportionally to capacity (the
+        scheduler's behaviour), so every online core runs at the same
+        busy fraction.
+        """
+        capacity = self._capacity
+        required = demand_ips / self.target_utilization
+        feasible = self._positive & (capacity >= required)
+        busy = demand_ips / capacity
+        # clamp(busy, 0, 1) branch for branch: where, not maximum/minimum.
+        busy = np.where(busy < 0.0, 0.0, np.where(busy > 1.0, 1.0, busy))
+        cost = 0.0
+        for count, dynamic, static, overhead, cache in self._terms:
+            cost = cost + count * (busy * dynamic + static)
+            cost = cost + overhead
+            cost = cost + busy * cache
+        cost = np.where(feasible, cost, np.inf)
+        columns = cost.argmin(axis=1)
+        rows = self._rows
+        return cost[rows, columns], self._frequency[rows, columns], feasible[rows, columns]
+
+    # -- demand measurement ----------------------------------------------
 
     def _demand_ips(self, observation: SystemObservation) -> float:
         """Measured work in IPC-scaled instructions per second.
@@ -150,7 +270,7 @@ class EnergyAwarePolicy(CpuPolicy):
             if not observation.online_mask[core_id]:
                 continue
             load = observation.per_core_load_percent[core_id]
-            ipc = self.cluster_specs[observation.cluster_of(core_id)].ipc_scale
+            ipc = self._ipc_scale[core_id]
             work += (load / 100.0) * observation.frequencies_khz[core_id] * 1000.0 * ipc
             if load >= self.burst_threshold_percent:
                 saturated = True
@@ -158,122 +278,61 @@ class EnergyAwarePolicy(CpuPolicy):
             work *= self.burst_boost
         return work
 
-    # -- placement search --------------------------------------------------
-
-    def _candidate_counts(self) -> List[Tuple[int, ...]]:
-        """Every per-domain online-count vector the topology allows.
-
-        The first domain owns the boot core, so its count never drops to
-        zero; any other domain may power down entirely.
-        """
-        ranges = []
-        for index, spec in enumerate(self.cluster_specs):
-            low = 1 if index == 0 else 0
-            ranges.append(range(low, spec.num_cores + 1))
-        return [counts for counts in itertools.product(*ranges)]
-
-    def _best_point_for_counts(
-        self, counts: Tuple[int, ...], demand_ips: float
-    ) -> Optional[Tuple[float, Tuple[int, ...]]]:
-        """Cheapest feasible per-domain OPP vector for one placement.
-
-        Returns ``(predicted_cpu_mw, frequencies)`` or ``None`` when no
-        OPP combination carries the demand within the headroom target.
-        Demand is assumed to water-fill proportionally to capacity (the
-        scheduler's behaviour), so every online core runs at the same
-        busy fraction.
-        """
-        required = demand_ips / self.target_utilization
-        active = [i for i, count in enumerate(counts) if count > 0]
-        option_lists = [self._opp_options[i] for i in active]
-        best: Optional[Tuple[float, Tuple[int, ...]]] = None
-        for combo in itertools.product(*option_lists):
-            capacity = sum(
-                counts[domain] * option[0] for domain, option in zip(active, combo)
-            )
-            if capacity <= 0.0 or capacity < required:
-                continue
-            busy = clamp(demand_ips / capacity, 0.0, 1.0)
-            cost = 0.0
-            for domain, (_, _, dynamic, static, span) in zip(active, combo):
-                count = counts[domain]
-                params = self.cluster_specs[domain].power_params
-                cost += count * (busy * dynamic + static)
-                if count >= 2:
-                    cost += (
-                        params.cluster_overhead_base_mw
-                        + params.cluster_overhead_span_mw * span
-                    )
-                cost += busy * (params.cache_base_mw + params.cache_span_mw * span)
-            if best is None or cost < best[0]:
-                by_domain = dict(zip(active, combo))
-                frequencies = tuple(
-                    by_domain[i][1] if i in by_domain else 0
-                    for i in range(len(counts))
-                )
-                best = (cost, frequencies)
-        return best
-
     # -- the policy interface ----------------------------------------------
 
     def decide(self, observation: SystemObservation) -> PolicyDecision:
         """Pick the cheapest feasible placement for this tick's demand.
 
-        Enumerates per-domain core counts and operating points, prices
-        each candidate with the Eq. (1)/(2) model, and keeps the held
-        placement unless a rival undercuts it by the switch margin
-        after the residency window (infeasibility switches immediately).
+        Prices every (placement, operating point) candidate with the
+        Eq. (1)/(2) model, takes the cheapest placement (ties to fewer
+        cores, then lower frequencies), and keeps the held placement
+        unless a rival undercuts it by the switch margin after the
+        residency window (infeasibility switches immediately).
         """
         if observation.num_cores != self._num_cores:
             raise ConfigError(
                 f"energy-aware policy built for {self._num_cores} cores, "
                 f"observed {observation.num_cores}"
             )
-        members = self._members(observation)
-        demand = self._demand_ips(observation)
-
-        candidates: Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]] = {}
-        for counts in self._candidate_counts():
-            point = self._best_point_for_counts(counts, demand)
-            if point is not None:
-                candidates[counts] = point
-        if not candidates:
-            # Demand exceeds even everything-at-fmax: saturate the platform.
-            counts = tuple(spec.num_cores for spec in self.cluster_specs)
-            frequencies = tuple(
-                spec.opp_table.max_frequency_khz for spec in self.cluster_specs
+        layout = tuple(observation.cluster_ids) or (0,) * observation.num_cores
+        if layout != self._layout:
+            raise ConfigError(
+                f"energy-aware policy built for cluster layout {self._layout}, "
+                f"observed {layout}"
             )
-            candidates[counts] = (float("inf"), frequencies)
-
-        best_counts = min(
-            candidates,
-            key=lambda c: (candidates[c][0], sum(c), candidates[c][1]),
-        )
-        chosen = best_counts
+        cost, frequencies, feasible = self.price_placements(self._demand_ips(observation))
+        if feasible.any():
+            # Python's min() over (cost, cores, frequencies), first wins.
+            best = int(np.lexsort((*frequencies.T[::-1], self._sizes, cost))[0])
+        else:
+            # Demand exceeds even everything-at-fmax: saturate the platform.
+            best = len(self.placements) - 1
+        chosen = best
         self._ticks_since_switch += 1
-        if self._counts is not None and self._counts != best_counts:
-            stay = candidates.get(self._counts)
+        held = self._row
+        if held is not None and held != best and feasible[held]:
             margin = 1.0 - self.switch_margin_percent / 100.0
-            if stay is not None and (
+            if (
                 self._ticks_since_switch < self.min_residency_ticks
-                or candidates[best_counts][0] >= stay[0] * margin
+                or cost[best] >= cost[held] * margin
             ):
-                chosen = self._counts
-        if chosen != self._counts:
+                chosen = held
+        if chosen != self._row:
             self._ticks_since_switch = 0
-            self._counts = chosen
+            self._row = chosen
 
-        cost, frequencies = candidates[chosen]
+        counts = self.placements[chosen]
+        targets_khz = frequencies[chosen] if feasible[chosen] else self._fmax
         mask = [False] * observation.num_cores
         targets: List[Optional[float]] = [None] * observation.num_cores
-        for domain, count in enumerate(chosen):
-            for core_id in members[domain][:count]:
+        for domain, count in enumerate(counts):
+            for core_id in self._members[domain][:count]:
                 mask[core_id] = True
-                targets[core_id] = float(frequencies[domain])
-        layout = "+".join(str(count) for count in chosen)
+                targets[core_id] = float(targets_khz[domain])
+        layout_label = "+".join(str(count) for count in counts)
         return PolicyDecision(
             target_frequencies_khz=targets,
             online_mask=mask,
             quota=1.0,
-            reason=f"eas:{layout}",
+            reason=f"eas:{layout_label}",
         )

@@ -12,9 +12,9 @@ ulp (see ``docs/NUMERICS.md``).
 
 If this test fails after an intentional numerics change, the golden
 must be re-captured from the commit whose numerics are the oracle, never
-from the code under test::
+from the code under test (run from the repository root)::
 
-    PYTHONPATH=src python tests/integration/test_biglittle_parity.py \\
+    PYTHONPATH=src python -m tests.integration.test_biglittle_parity \\
         > tests/data/golden_biglittle.json
 """
 
@@ -30,6 +30,8 @@ from repro.metrics.summary import summarize
 from repro.scenario import Scenario, compile_scenario
 from repro.soc.platform import Platform
 
+from .test_single_cluster_parity import HEX_FIELDS
+
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_biglittle.json"
 
 PLATFORMS = ("Odroid-XU3", "Galaxy S6")
@@ -39,17 +41,6 @@ WORKLOADS = {
     "game:subwaysurf": ("game:subwaysurf", {}, True),
     "busyloop:60": ("busyloop", {"target_load_percent": 60.0}, False),
 }
-
-#: The float summary fields pinned by the golden, hex-encoded.
-HEX_FIELDS = (
-    "mean_power_mw",
-    "mean_cpu_power_mw",
-    "energy_mj",
-    "mean_frequency_khz",
-    "mean_online_cores",
-    "mean_load_percent",
-    "load_std_percent",
-)
 
 
 def all_points():

@@ -1,5 +1,7 @@
 """The EAS-style energy-aware placement policy, unit and end to end."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -66,9 +68,45 @@ class TestEnergyAwareUnit:
         with pytest.raises(ConfigError):
             EnergyAwarePolicy.for_platform_spec(xu3_spec, min_residency_ticks=-1)
 
+    @pytest.mark.parametrize("threshold", [-5.0, 0.0, 100.5, float("nan")])
+    def test_burst_threshold_outside_percent_range_rejected(self, xu3_spec, threshold):
+        # A non-positive threshold would mark every tick as saturated.
+        with pytest.raises(ConfigError, match="burst_threshold_percent"):
+            EnergyAwarePolicy.for_platform_spec(
+                xu3_spec, burst_threshold_percent=threshold
+            )
+
+    @pytest.mark.parametrize("threshold", [0.5, 95.0, 100.0])
+    def test_burst_threshold_in_percent_range_accepted(self, xu3_spec, threshold):
+        policy = EnergyAwarePolicy.for_platform_spec(
+            xu3_spec, burst_threshold_percent=threshold
+        )
+        assert policy.burst_threshold_percent == threshold
+
     def test_core_count_mismatch_rejected(self, policy):
         with pytest.raises(ConfigError):
             policy.decide(observe(nexus5_spec(), [0.0] * 4))
+
+    @pytest.mark.parametrize(
+        "cluster_ids",
+        [(1, 1, 1, 1, 0, 0, 0, 0), (0, 1) * 4, ()],
+        ids=["big-first", "interleaved", "empty-means-one-domain"],
+    )
+    def test_cluster_layout_mismatch_rejected(self, policy, xu3_spec, cluster_ids):
+        # Same core count, different domains: the policy would price one
+        # layout and apply its placement to another.
+        obs = dataclasses.replace(observe(xu3_spec, [0.0] * 8), cluster_ids=cluster_ids)
+        with pytest.raises(ConfigError, match="cluster layout"):
+            policy.decide(obs)
+
+    def test_empty_cluster_ids_match_a_single_domain(self):
+        spec = nexus5_spec()
+        obs = observe(spec, [10.0] * 4)
+        bare = dataclasses.replace(obs, cluster_ids=())
+        decisions = [
+            EnergyAwarePolicy.for_platform_spec(spec).decide(o) for o in (obs, bare)
+        ]
+        assert decisions[0] == decisions[1]
 
     def test_idle_demand_parks_on_one_little_core(self, policy, xu3_spec):
         decision = policy.decide(observe(xu3_spec, [0.0] * 8))
