@@ -3,14 +3,14 @@
 
 Section 5.3 deploys MobiCore "by command line through adb shell" after
 disabling the mpdecision service (section 2.2.2).  This demo replays
-that operator session against the simulator's sysfs control plane:
+that operator session against the simulated sysfs control plane:
 inspect the knobs, watch mpdecision veto an offline request, disable it,
 offline cores, set a userspace speed, and shrink the CFS quota.
 
 Run:  python examples/adb_shell_demo.py
 """
 
-from repro import Platform, SimulationConfig, Simulator, StaticPolicy, nexus5_spec
+from repro import Platform, Session, SimulationConfig, StaticPolicy, nexus5_spec
 from repro.kernel.android_shell import build_sysfs
 from repro.workloads import ConstantWorkload
 
@@ -29,15 +29,15 @@ def shell(tree, command: str) -> None:
 
 def main() -> None:
     platform = Platform.from_spec(nexus5_spec())
-    simulator = Simulator(
+    session = Session(
         platform,
         ConstantWorkload(20.0),
         StaticPolicy(4, 960_000),
         SimulationConfig(duration_seconds=2.0),
         pin_uncore_max=False,
     )
-    simulator.hotplug.set_mpdecision(True)  # a stock device boots with it on
-    tree = build_sysfs(simulator)
+    session.stack.hotplug.set_mpdecision(True)  # a stock device boots with it on
+    tree = build_sysfs(session)
 
     print("# The knob tree a rooted device exposes:")
     for path in tree.list("sys/devices/system/cpu/cpu0"):
@@ -66,7 +66,7 @@ def main() -> None:
     print("# Final hardware state:")
     print(f"  online mask: {platform.cluster.online_mask}")
     print(f"  cpu0 frequency: {platform.cluster.core(0).frequency_khz} kHz")
-    print(f"  quota: {simulator.bandwidth.quota:.2f}")
+    print(f"  quota: {session.stack.bandwidth.quota:.2f}")
 
 
 if __name__ == "__main__":

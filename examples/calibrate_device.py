@@ -17,8 +17,8 @@ from repro import (
     AndroidDefaultPolicy,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     nexus5_spec,
     summarize,
 )
@@ -54,22 +54,22 @@ def main() -> None:
     print("\nStep 3: deploy MobiCore with the fitted model ...")
     config = SimulationConfig(duration_seconds=30.0, seed=5, warmup_seconds=2.0)
 
-    def session(policy_factory):
+    def measure(policy_factory):
         platform = Platform.from_spec(spec)
         return summarize(
-            Simulator(
+            Session(
                 platform, BusyLoopApp(30.0), policy_factory(platform), config,
                 pin_uncore_max=False,
             ).run()
         )
 
-    baseline = session(lambda p: AndroidDefaultPolicy())
-    fitted = session(
+    baseline = measure(lambda p: AndroidDefaultPolicy())
+    fitted = measure(
         lambda p: MobiCorePolicy(
             power_params=fit.params, opp_table=spec.opp_table, num_cores=spec.num_cores
         )
     )
-    exact = session(MobiCorePolicy.for_platform)
+    exact = measure(MobiCorePolicy.for_platform)
 
     print(f"  android default      : {baseline.mean_power_mw:7.0f} mW")
     print(f"  mobicore (fitted)    : {fitted.mean_power_mw:7.0f} mW "

@@ -13,8 +13,8 @@ from repro import (
     AndroidDefaultPolicy,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     game_workload,
     summarize,
 )
@@ -72,7 +72,7 @@ def main() -> None:
         platform = Platform.from_spec(spec)
         policy = policy_factory(platform)
         return summarize(
-            Simulator(platform, game_workload("Asphalt 8"), policy, config).run()
+            Session(platform, game_workload("Asphalt 8"), policy, config).run()
         )
 
     print(f"Platform: {spec.name} ({spec.num_cores} cores, {len(spec.opp_table)} OPPs)")

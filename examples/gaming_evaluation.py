@@ -15,8 +15,8 @@ from repro import (
     AndroidDefaultPolicy,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     game_workload,
     nexus5_spec,
     summarize,
@@ -33,7 +33,7 @@ def run_session(game: str, policy_name: str, config, out_dir: pathlib.Path):
         if policy_name == "android"
         else MobiCorePolicy.for_platform(platform)
     )
-    result = Simulator(platform, game_workload(game), policy, config).run()
+    result = Session(platform, game_workload(game), policy, config).run()
     slug = game.lower().replace(" ", "-")
     trace_path = out_dir / f"{slug}-{policy_name}.csv"
     trace_path.write_text(result.trace.to_csv())

@@ -14,8 +14,8 @@ from repro import (
     AndroidDefaultPolicy,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     nexus5_spec,
     summarize,
 )
@@ -33,7 +33,7 @@ def main() -> None:
         platform = Platform.from_spec(spec)
         workload = SineWorkload(mean_load, 15.0, period_seconds=8.0)
         return summarize(
-            Simulator(platform, workload, policy, config, pin_uncore_max=False).run()
+            Session(platform, workload, policy, config, pin_uncore_max=False).run()
         )
 
     rows = []

@@ -13,8 +13,8 @@ from repro import (
     AndroidDefaultPolicy,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     game_workload,
     nexus5_spec,
     summarize,
@@ -24,10 +24,8 @@ from repro import (
 def run_session(policy_factory, config):
     platform = Platform.from_spec(nexus5_spec())
     policy = policy_factory(platform)
-    simulator = Simulator(
-        platform, game_workload("Subway Surf"), policy, config
-    )
-    return summarize(simulator.run())
+    session = Session(platform, game_workload("Subway Surf"), policy, config)
+    return summarize(session.run())
 
 
 def main() -> None:

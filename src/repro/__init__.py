@@ -9,7 +9,7 @@ trace-driven simulation stack:
   measurements, thermal, GPU/memory, and the Figure 1 phone fleet.
 * :mod:`repro.kernel` -- the OS: load-balancing scheduler, cpufreq,
   hotplug, the CPU bandwidth controller, utilization accounting, and
-  the tick-loop :class:`~repro.kernel.simulator.Simulator`.
+  the tick-loop :class:`~repro.kernel.engine.Session`.
 * :mod:`repro.governors` -- the six stock Linux governors.
 * :mod:`repro.policies` -- whole-system managers, including the
   Android-default baseline.
@@ -24,20 +24,20 @@ trace-driven simulation stack:
 Quickstart::
 
     from repro import (
-        Platform, Simulator, SimulationConfig,
+        Platform, Session, SimulationConfig,
         nexus5_spec, AndroidDefaultPolicy, MobiCorePolicy, game_workload,
     )
 
     spec = nexus5_spec()
     config = SimulationConfig(duration_seconds=120.0, seed=7)
 
-    baseline = Simulator(
+    baseline = Session(
         Platform.from_spec(spec), game_workload("Subway Surf"),
         AndroidDefaultPolicy(), config,
     ).run()
 
     platform = Platform.from_spec(spec)
-    mobicore = Simulator(
+    mobicore = Session(
         platform, game_workload("Subway Surf"),
         MobiCorePolicy.for_platform(platform), config,
     ).run()
@@ -49,7 +49,7 @@ Quickstart::
 from .config import SimulationConfig
 from .errors import ReproError
 from .core import MobiCorePolicy, QuotaController, EnergyModel, OperatingPointOptimizer
-from .kernel import Simulator, SessionResult
+from .kernel import Session, SessionResult
 from .metrics import SessionSummary, summarize
 from .policies import (
     AndroidDefaultPolicy,
@@ -80,7 +80,7 @@ __all__ = [
     "QuotaController",
     "EnergyModel",
     "OperatingPointOptimizer",
-    "Simulator",
+    "Session",
     "SessionResult",
     "SessionSummary",
     "summarize",

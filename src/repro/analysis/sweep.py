@@ -21,7 +21,7 @@ import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..kernel.simulator import SessionResult, Simulator
+from ..kernel.engine import Session, SessionResult
 from ..metrics.summary import SessionSummary
 from ..policies.base import CpuPolicy
 from ..runner.runner import SessionRunner, default_runner
@@ -118,11 +118,10 @@ def run_session(
     A new :class:`Platform` per session keeps sweeps independent -- no
     thermal or hotplug state leaks between grid points.
     """
-    platform = Platform.from_spec(spec)
-    simulator = Simulator(
-        platform, workload, policy, config, pin_uncore_max=pin_uncore_max
-    )
-    return simulator.run()
+    return Session(
+        Platform.from_spec(spec), workload, policy, config,
+        pin_uncore_max=pin_uncore_max,
+    ).run()
 
 
 def _static_policy_ref(online_count: int, frequency_khz: int) -> FactoryRef:

@@ -427,9 +427,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         if args.events
         else ()
     )
-    request = TraceRequest(
-        categories=categories, ring_capacity=args.ring, profile=args.profile
-    )
+    request = TraceRequest(categories=categories, ring_capacity=args.ring)
     workloads = args.workload or ["busyloop:50"]
     plan = _load_fault_plan(args.faults)
     specs: List[SessionSpec] = []
@@ -1028,11 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CATS",
         help="comma list of event categories to record "
         "(cpufreq,hotplug,cgroup,cpuidle,sched,policy,counters)",
-    )
-    trace_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="also time each kernel subsystem's apply step",
     )
     trace_run.add_argument(
         "--pin-uncore",

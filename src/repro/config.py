@@ -2,7 +2,7 @@
 
 A :class:`SimulationConfig` bundles the knobs common to every experiment:
 the sampling tick, session duration, and the random seed.  Experiment
-drivers build one, hand it to :class:`repro.kernel.simulator.Simulator`,
+drivers build one, hand it to :class:`repro.kernel.engine.Session`,
 and record it alongside results so every run is reproducible.
 """
 

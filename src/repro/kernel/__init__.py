@@ -19,12 +19,12 @@ from .cgroup import CpuBandwidthController
 from .sysfs import SysfsTree
 from .trace_buffer import TraceBuffer, sequential_sum
 from .tracing import TickRecord, TraceRecorder, TraceView
-from .engine import KernelStack, Session
-from .simulator import Simulator, SessionResult
+from .engine import KernelStack, Session, SessionResult
 
 __all__ = [
     "KernelStack",
     "Session",
+    "SessionResult",
     "SimClock",
     "Task",
     "TaskDemand",
@@ -45,6 +45,4 @@ __all__ = [
     "TraceRecorder",
     "TraceView",
     "sequential_sum",
-    "Simulator",
-    "SessionResult",
 ]

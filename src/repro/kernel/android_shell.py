@@ -1,9 +1,9 @@
-"""The Android control plane: sysfs paths wired to a live simulator.
+"""The Android control plane: sysfs paths wired to a live session.
 
 Section 5.3: "All CPU features that are tweaked are easily accessible
 and modifiable in the Android Linux architecture ... It is written in C
 and sent to the system by command line through adb shell."  This module
-builds the same interface over a :class:`~repro.kernel.simulator.Simulator`:
+builds the same interface over a :class:`~repro.kernel.engine.Session`:
 the knob paths a rooted Nexus 5 exposes, readable and writable as
 strings, so tools (and tests) can drive the simulated device exactly the
 way the paper's adb-shell commands drove the real one.
@@ -24,17 +24,17 @@ and globally:
 * ``/sys/class/thermal/thermal_zone0/temp`` (millidegrees, ro)
 * ``/proc/stat/global_util`` (ro, percent)
 * ``/sys/kernel/debug/tracing/...`` (the ftrace knob set, registered
-  only when the simulator carries a tracepoint bus; see
+  only when the session carries a tracepoint bus; see
   :mod:`repro.obs.debugfs`)
 
-Writes take effect immediately on the simulator's kernel objects; an
+Writes take effect immediately on the session's kernel stack; an
 actively deciding policy may of course override them on its next tick,
 exactly as on the real device.
 """
 
 from __future__ import annotations
 
-from .simulator import Simulator
+from .engine import Session
 from .sysfs import SysfsTree
 from ..errors import ConfigError
 from ..obs.debugfs import register_tracing_knobs
@@ -51,17 +51,20 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean write, got {value!r}")
 
 
-def build_sysfs(simulator: Simulator) -> SysfsTree:
-    """Register the Android knob tree against *simulator*'s kernel objects."""
+def build_sysfs(session: Session) -> SysfsTree:
+    """Register the Android knob tree against *session*'s kernel stack."""
     tree = SysfsTree()
-    platform = simulator.platform
+    platform = session.platform
     cluster = platform.topology
+    cpufreq = session.stack.cpufreq
+    hotplug = session.stack.hotplug
+    bandwidth = session.stack.bandwidth
 
     def online_writer(core_id: int):
         def write(value: str) -> None:
             mask = list(cluster.online_mask)
             mask[core_id] = _parse_bool(value)
-            simulator.hotplug.apply_mask(mask)
+            hotplug.apply_mask(mask)
 
         return write
 
@@ -69,16 +72,16 @@ def build_sysfs(simulator: Simulator) -> SysfsTree:
         def write(value: str) -> None:
             targets = [None] * len(cluster)
             targets[core_id] = float(value)
-            simulator.cpufreq.apply(targets)
+            cpufreq.apply(targets)
 
         return write
 
     def limits_writer(core_id: int, which: str):
         def write(value: str) -> None:
-            limits = simulator.cpufreq.limits(core_id)
+            limits = cpufreq.limits(core_id)
             low = int(value) if which == "min" else limits.min_khz
             high = int(value) if which == "max" else limits.max_khz
-            simulator.cpufreq.set_limits(core_id, low, high)
+            cpufreq.set_limits(core_id, low, high)
 
         return write
 
@@ -100,30 +103,28 @@ def build_sysfs(simulator: Simulator) -> SysfsTree:
         )
         tree.register(
             f"{base}/cpufreq/scaling_min_freq",
-            lambda cid=core.core_id: simulator.cpufreq.limits(cid).min_khz,
+            lambda cid=core.core_id: cpufreq.limits(cid).min_khz,
             limits_writer(core.core_id, "min"),
         )
         tree.register(
             f"{base}/cpufreq/scaling_max_freq",
-            lambda cid=core.core_id: simulator.cpufreq.limits(cid).max_khz,
+            lambda cid=core.core_id: cpufreq.limits(cid).max_khz,
             limits_writer(core.core_id, "max"),
         )
 
     tree.register(
         "sys/module/mpdecision/enabled",
-        lambda: int(simulator.hotplug.mpdecision_enabled),
-        lambda value: simulator.hotplug.set_mpdecision(_parse_bool(value)),
+        lambda: int(hotplug.mpdecision_enabled),
+        lambda value: hotplug.set_mpdecision(_parse_bool(value)),
     )
     tree.register(
         "sys/fs/cgroup/cpu/cpu.cfs_quota_us",
-        lambda: simulator.bandwidth.quota_us,
-        lambda value: simulator.bandwidth.set_quota(
-            int(value) / simulator.bandwidth.period_us
-        ),
+        lambda: bandwidth.quota_us,
+        lambda value: bandwidth.set_quota(int(value) / bandwidth.period_us),
     )
     tree.register(
         "sys/fs/cgroup/cpu/cpu.cfs_period_us",
-        lambda: simulator.bandwidth.period_us,
+        lambda: bandwidth.period_us,
     )
     tree.register(
         "sys/class/thermal/thermal_zone0/temp",
@@ -133,6 +134,6 @@ def build_sysfs(simulator: Simulator) -> SysfsTree:
         "proc/stat/global_util",
         lambda: round(cluster.global_utilization_percent(), 1),
     )
-    if simulator.session.trace_bus is not None:
-        register_tracing_knobs(tree, simulator.session.trace_bus)
+    if session.trace_bus is not None:
+        register_tracing_knobs(tree, session.trace_bus)
     return tree

@@ -1,7 +1,6 @@
 """The simulation engine: kernel stack + incremental session driver.
 
-This module splits the old monolithic ``Simulator.run()`` loop into two
-composable pieces:
+The tick loop has two composable pieces:
 
 * :class:`KernelStack` — the bundle of kernel mechanisms one simulated
   device exposes (cpufreq, hotplug, the bandwidth controller, procstat
@@ -28,13 +27,11 @@ Each tick (the governor sampling period, default 20 ms):
 
 The result is a :class:`SessionResult`: the full trace, the workload's
 own metrics (score, FPS), and the accounting every figure of the paper
-needs.  :class:`~repro.kernel.simulator.Simulator` remains as a thin
-facade over a :class:`Session` for existing callers.
+needs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -142,7 +139,6 @@ class KernelStack:
         self.bandwidth = CpuBandwidthController()
         self.procstat = ProcStat()
         self.cpuidle = CpuidleStats(len(platform.topology))
-        self._trace: Optional[TracepointBus] = None
 
     def attach_trace(self, bus: TracepointBus) -> None:
         """Attach a tracepoint bus to every mechanism in the stack.
@@ -150,7 +146,6 @@ class KernelStack:
         Safe to call again (e.g. after :class:`Session.start` swaps in a
         fresh cpuidle ledger); registration is idempotent on the bus.
         """
-        self._trace = bus
         self.cpufreq.attach_trace(bus)
         self.hotplug.attach_trace(bus)
         self.bandwidth.attach_trace(bus)
@@ -174,47 +169,12 @@ class KernelStack:
 
     def apply(self, decision: PolicyDecision) -> None:
         """Apply a policy decision through the kernel mechanisms."""
-        bus = self._trace
-        if bus is not None and bus.profile:
-            self._apply_profiled(decision, bus)
-            return
         if decision.online_mask is not None:
             self.hotplug.apply_mask(decision.online_mask)
         if decision.target_frequencies_khz is not None:
             self.cpufreq.apply(decision.target_frequencies_khz)
         if decision.quota is not None:
             self.bandwidth.set_quota(decision.quota)
-        if decision.memory_high is not None:
-            if decision.memory_high:
-                self.platform.memory.pin_high()
-            else:
-                self.platform.memory.set_low()
-        if decision.gpu_pinned_max is not None:
-            if decision.gpu_pinned_max:
-                self.platform.gpu.pin_max()
-            else:
-                self.platform.gpu.unpin()
-
-    def _apply_profiled(self, decision: PolicyDecision, bus: TracepointBus) -> None:
-        """:meth:`apply` with per-subsystem wall-clock timing histograms.
-
-        Timings land in the bus duration histograms, not the event stream:
-        wall-clock measurements are host-dependent and would break trace
-        determinism if they became events.
-        """
-        clock = time.perf_counter
-        if decision.online_mask is not None:
-            began = clock()
-            self.hotplug.apply_mask(decision.online_mask)
-            bus.add_duration("apply.hotplug", clock() - began)
-        if decision.target_frequencies_khz is not None:
-            began = clock()
-            self.cpufreq.apply(decision.target_frequencies_khz)
-            bus.add_duration("apply.cpufreq", clock() - began)
-        if decision.quota is not None:
-            began = clock()
-            self.bandwidth.set_quota(decision.quota)
-            bus.add_duration("apply.bandwidth", clock() - began)
         if decision.memory_high is not None:
             if decision.memory_high:
                 self.platform.memory.pin_high()

@@ -3,7 +3,7 @@
 Every evaluation figure of the paper reduces a session to a handful of
 scalars (mean power, mean FPS, mean cores, mean frequency, mean load).
 :class:`SessionSummary` is that row, built from a
-:class:`~repro.kernel.simulator.SessionResult`, plus the deltas
+:class:`~repro.kernel.engine.SessionResult`, plus the deltas
 section 6 reports between MobiCore and the default policy.
 """
 
@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import MeterError
-from ..kernel.simulator import SessionResult
+from ..kernel.engine import SessionResult
 from ..kernel.trace_buffer import sequential_sum
 
 __all__ = ["SessionSummary", "summarize"]

@@ -8,9 +8,8 @@ substrate of the simulation:
   migrations, policy decisions, per-tick counters, runner telemetry);
 * :mod:`repro.obs.bus` — :class:`TracepointBus` and
   :class:`Tracepoint`: zero-overhead-when-disabled emission sites with
-  ftrace-style per-event enable knobs and an optional ring buffer;
-* :mod:`repro.obs.telemetry` — counters and duration histograms,
-  queryable as a :class:`TelemetrySnapshot`;
+  ftrace-style per-event enable knobs, per-type event counts, and an
+  optional ring buffer;
 * :mod:`repro.obs.perfetto` — Chrome-trace/Perfetto JSON export
   (loadable in ``chrome://tracing`` / ui.perfetto.dev);
 * :mod:`repro.obs.export` — JSONL/CSV export and trace-file summaries;
@@ -60,7 +59,6 @@ from .export import (
     summarize_trace_file,
 )
 from .perfetto import session_chrome_events, to_chrome_trace, validate_chrome_trace
-from .telemetry import Histogram, HistogramSummary, TelemetrySnapshot
 
 __all__ = [
     "NULL_TRACEPOINT",
@@ -97,7 +95,4 @@ __all__ = [
     "session_chrome_events",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "Histogram",
-    "HistogramSummary",
-    "TelemetrySnapshot",
 ]

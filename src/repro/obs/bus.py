@@ -28,7 +28,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type
 
 from .events import TraceEvent
-from .telemetry import Histogram, TelemetrySnapshot
 from ..errors import TraceError
 
 __all__ = ["Tracepoint", "NULL_TRACEPOINT", "TracepointBus"]
@@ -97,9 +96,6 @@ class TracepointBus:
         tracing_on: The master switch (``tracing_on`` in debugfs terms).
         categories: When given, only tracepoints of these categories can
             ever enable — the CLI's ``--events cpufreq,hotplug`` filter.
-        profile: Arm the engine profiling hooks (per-subsystem apply
-            timing); off by default because timing calls are real
-            overhead even when cheap.
     """
 
     def __init__(
@@ -107,12 +103,10 @@ class TracepointBus:
         capacity: Optional[int] = None,
         tracing_on: bool = True,
         categories: Optional[Sequence[str]] = None,
-        profile: bool = False,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise TraceError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.profile = profile
         self.now_us = 0
         # Decision context, stamped onto mechanism-level events.
         self.ctx_util_percent: Optional[float] = None
@@ -124,7 +118,6 @@ class TracepointBus:
         self._buffer: Deque[TraceEvent] = deque(maxlen=capacity)
         self._counts: Dict[Tuple[str, str], int] = {}
         self._total = 0
-        self._durations: Dict[str, Histogram] = {}
 
     @property
     def categories(self) -> Optional[frozenset]:
@@ -229,15 +222,6 @@ class TracepointBus:
         self.ctx_governor = governor
         self.ctx_reason = reason
 
-    # -- profiling hooks -------------------------------------------------
-
-    def add_duration(self, key: str, seconds: float) -> None:
-        """Fold one measured duration into the *key* histogram."""
-        histogram = self._durations.get(key)
-        if histogram is None:
-            histogram = self._durations[key] = Histogram()
-        histogram.add(seconds)
-
     # -- inspection ------------------------------------------------------
 
     @property
@@ -263,21 +247,10 @@ class TracepointBus:
         """Published events per type, keyed ``"category:name"``."""
         return {f"{cat}:{name}": n for (cat, name), n in self._counts.items()}
 
-    def snapshot(self) -> TelemetrySnapshot:
-        """The queryable digest of everything the bus has seen."""
-        return TelemetrySnapshot(
-            event_counts=self.counts,
-            total_events=self._total,
-            buffered_events=len(self._buffer),
-            dropped_events=self.dropped_events,
-            durations={key: h.summary() for key, h in self._durations.items()},
-        )
-
     def clear(self) -> None:
         """Start a new recording epoch (enable state is preserved)."""
         self._buffer.clear()
         self._counts.clear()
         self._total = 0
-        self._durations.clear()
         self.now_us = 0
         self.set_decision_context()

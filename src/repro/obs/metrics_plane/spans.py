@@ -42,9 +42,13 @@ class SpanStats:
         count: Completed spans recorded under the path.
         total: Summed wall seconds.
         mean: ``total / count``.
-        p50: Median wall seconds (nearest-rank interpolation).
+        p50: Median wall seconds.
         p95: 95th-percentile wall seconds.
         p99: 99th-percentile wall seconds.
+
+    Percentiles interpolate linearly between the two nearest ranks of
+    the sorted samples (numpy's default ``linear`` method), so p95 of
+    ``1..5`` is 4.8, not a recorded sample.
         min: Fastest recorded span.
         max: Slowest recorded span.
     """

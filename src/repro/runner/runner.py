@@ -868,7 +868,8 @@ class SessionRunner:
         the same memo/cache/telemetry path as a pool execution.  Specs a
         batch cannot take — unbatchable shapes, scalar-fallback members,
         groups that error — are returned still pending, so the normal
-        pool/inline machinery picks them up unchanged.
+        pool/inline machinery picks them up unchanged; members of a group
+        that errored carry the error in their outcome's ``detail``.
         """
         from ..kernel.batch_engine import BatchSession, batch_compatibility_key
 
@@ -906,9 +907,12 @@ class SessionRunner:
                     heartbeat.progress()
                 started = time.perf_counter()
                 summaries = batch.run()
-            except Exception:
-                # Any batch-path failure is absorbed: the members stay
-                # pending and re-execute through the scalar path.
+            except Exception as error:
+                # The members stay pending and re-execute through the
+                # scalar path; each outcome keeps the reason.
+                note = f"batch path failed ({type(error).__name__}: {error}); ran scalar"
+                for index in members:
+                    report.outcomes[index].detail = note
                 continue
             share = (time.perf_counter() - started) / len(members)
             for position, index in enumerate(members):

@@ -158,19 +158,16 @@ class TraceRequest:
             (``None`` records everything).
         ring_capacity: Bound the event buffer ftrace-style; ``None``
             keeps every event.
-        profile: Arm the per-subsystem ``apply`` timing histograms.
     """
 
     categories: Tuple[str, ...] = ()
     ring_capacity: Optional[int] = None
-    profile: bool = False
 
     def build_bus(self) -> TracepointBus:
         """A fresh bus configured as this request asks."""
         return TracepointBus(
             capacity=self.ring_capacity,
             categories=self.categories or None,
-            profile=self.profile,
         )
 
 

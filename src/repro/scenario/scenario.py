@@ -97,7 +97,7 @@ def _trace_from_payload(doc: Any) -> TraceRequest:
         raise ScenarioError(
             f"scenario 'trace' must be an object, got {type(doc).__name__}"
         )
-    known = {"categories", "ring_capacity", "profile"}
+    known = {"categories", "ring_capacity"}
     unexpected = sorted(set(doc) - known)
     if unexpected:
         raise ScenarioError(
@@ -111,12 +111,7 @@ def _trace_from_payload(doc: Any) -> TraceRequest:
     ring = doc.get("ring_capacity")
     if ring is not None and not isinstance(ring, int):
         raise ScenarioError("trace 'ring_capacity' must be an integer or null")
-    profile = doc.get("profile", False)
-    if not isinstance(profile, bool):
-        raise ScenarioError("trace 'profile' must be a boolean")
-    return TraceRequest(
-        categories=tuple(categories), ring_capacity=ring, profile=profile
-    )
+    return TraceRequest(categories=tuple(categories), ring_capacity=ring)
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,6 @@ class Scenario:
             doc["trace"] = {
                 "categories": list(self.trace.categories),
                 "ring_capacity": self.trace.ring_capacity,
-                "profile": self.trace.profile,
             }
         if self.faults is not None and self.faults:
             doc["faults"] = self.faults.payload()

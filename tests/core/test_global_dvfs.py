@@ -6,7 +6,7 @@ from repro.config import SimulationConfig
 from repro.core.global_dvfs import ComponentAwareMobiCore
 from repro.core.mobicore import MobiCorePolicy
 from repro.errors import ConfigError
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.base import SystemObservation
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
@@ -105,7 +105,7 @@ class TestSessionBehaviour:
             opp_table=spec.opp_table,
             num_cores=spec.num_cores,
         )
-        return Simulator(platform, workload, policy, self.CFG, pin_uncore_max=True).run()
+        return Session(platform, workload, policy, self.CFG, pin_uncore_max=True).run()
 
     def test_saves_uncore_power_on_light_load(self):
         plain = self.run(MobiCorePolicy, BusyLoopApp(10.0))

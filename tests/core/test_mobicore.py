@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.mobicore import MobiCorePolicy
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.base import SystemObservation
 from repro.soc.catalog import nexus5_spec
@@ -144,7 +144,7 @@ class TestSessionBehaviour:
             duration_seconds=seconds, seed=3, warmup_seconds=2.0
         )
         policy = policy_factory(platform)
-        return Simulator(
+        return Session(
             platform, workload, policy, config, pin_uncore_max=False
         ).run()
 

@@ -8,8 +8,8 @@ from repro import (
     GeekbenchWorkload,
     MobiCorePolicy,
     Platform,
+    Session,
     SimulationConfig,
-    Simulator,
     StaticPolicy,
     game_workload,
     nexus5_spec,
@@ -25,7 +25,7 @@ CFG = SimulationConfig(duration_seconds=8.0, seed=5, warmup_seconds=2.0)
 def run(policy_factory, workload, spec=None, config=CFG, pin=False):
     platform = Platform.from_spec(spec if spec is not None else nexus5_spec())
     policy = policy_factory(platform)
-    return Simulator(platform, workload, policy, config, pin_uncore_max=pin).run()
+    return Session(platform, workload, policy, config, pin_uncore_max=pin).run()
 
 
 class TestPublicApiSession:

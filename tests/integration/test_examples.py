@@ -37,6 +37,16 @@ class TestExamples:
         assert "Octa 2016" in result.stdout
         assert "power saving on the custom device" in result.stdout
 
+    def test_governor_comparison(self):
+        result = run_example("governor_comparison.py")
+        assert result.returncode == 0, result.stderr
+        assert any(line.startswith("mobicore ") for line in result.stdout.splitlines())
+
+    def test_calibrate_device(self):
+        result = run_example("calibrate_device.py")
+        assert result.returncode == 0, result.stderr
+        assert "mobicore (fitted)" in result.stdout
+
     def test_gaming_evaluation_writes_traces(self, tmp_path):
         result = run_example("gaming_evaluation.py", str(tmp_path), timeout=300)
         assert result.returncode == 0, result.stderr

@@ -9,7 +9,7 @@ bound the range.
 import pytest
 
 from repro.config import SimulationConfig
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
@@ -22,7 +22,7 @@ CFG = SimulationConfig(duration_seconds=10.0, seed=4, warmup_seconds=2.0)
 def run(governor_name, workload):
     platform = Platform.from_spec(nexus5_spec())
     policy = AndroidDefaultPolicy(governor_name=governor_name, enable_hotplug=False)
-    return Simulator(platform, workload, policy, CFG, pin_uncore_max=False).run()
+    return Session(platform, workload, policy, CFG, pin_uncore_max=False).run()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.mobicore import MobiCorePolicy
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.static import StaticPolicy
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
@@ -17,7 +17,7 @@ def run(spec, workload, policy, seconds, warmup=0.0, seed=0):
     config = SimulationConfig(
         duration_seconds=seconds, seed=seed, warmup_seconds=warmup
     )
-    return Simulator(platform, workload, policy, config, pin_uncore_max=False).run()
+    return Session(platform, workload, policy, config, pin_uncore_max=False).run()
 
 
 class TestThrottleEngagement:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimulationConfig
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
@@ -16,7 +16,7 @@ CFG = SimulationConfig(duration_seconds=6.0, seed=9, warmup_seconds=1.0)
 
 def run(workload):
     platform = Platform.from_spec(nexus5_spec())
-    return Simulator(
+    return Session(
         platform, workload, AndroidDefaultPolicy(), CFG, pin_uncore_max=True
     ).run()
 
@@ -71,7 +71,7 @@ class TestReplayFidelity:
             game_workload("Badland"), context, ticks=CFG.total_ticks
         )
         platform = Platform.from_spec(nexus5_spec())
-        mobicore = Simulator(
+        mobicore = Session(
             platform,
             TraceWorkload(captured),
             MobiCorePolicy.for_platform(platform),

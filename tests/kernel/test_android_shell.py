@@ -1,11 +1,11 @@
-"""The sysfs control plane over a live simulator."""
+"""The sysfs control plane over a live session."""
 
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigError
 from repro.kernel.android_shell import build_sysfs
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.static import StaticPolicy
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
@@ -15,21 +15,21 @@ from repro.workloads.synthetic import ConstantWorkload
 @pytest.fixture
 def shell():
     platform = Platform.from_spec(nexus5_spec())
-    simulator = Simulator(
+    session = Session(
         platform,
         ConstantWorkload(20.0),
         StaticPolicy(4, 960_000),
         SimulationConfig(duration_seconds=2.0),
         pin_uncore_max=False,
     )
-    return simulator, build_sysfs(simulator)
+    return session, build_sysfs(session)
 
 
 class TestReads:
     def test_online_and_frequency(self, shell):
-        simulator, tree = shell
+        session, tree = shell
         assert tree.read("/sys/devices/system/cpu/cpu0/online") == "1"
-        simulator.platform.cluster.core(1).set_frequency(960_000)
+        session.platform.cluster.core(1).set_frequency(960_000)
         assert (
             tree.read("/sys/devices/system/cpu/cpu1/cpufreq/scaling_cur_freq")
             == "960000"
@@ -40,8 +40,8 @@ class TestReads:
         assert tree.read("/sys/class/thermal/thermal_zone0/temp") == "24000"
 
     def test_quota_view(self, shell):
-        simulator, tree = shell
-        simulator.bandwidth.set_quota(0.9)
+        session, tree = shell
+        session.stack.bandwidth.set_quota(0.9)
         assert tree.read("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") == "90000"
 
     def test_path_listing(self, shell):
@@ -53,36 +53,36 @@ class TestReads:
 
 class TestWrites:
     def test_offline_a_core(self, shell):
-        simulator, tree = shell
-        simulator.hotplug.set_mpdecision(False)
+        session, tree = shell
+        session.stack.hotplug.set_mpdecision(False)
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert not simulator.platform.cluster.core(3).is_online
+        assert not session.platform.cluster.core(3).is_online
 
     def test_mpdecision_blocks_offline_until_disabled(self, shell):
         """The paper's adb-shell sequence: disable mpdecision first."""
-        simulator, tree = shell
-        simulator.hotplug.set_mpdecision(True)
+        session, tree = shell
+        session.stack.hotplug.set_mpdecision(True)
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert simulator.platform.cluster.core(3).is_online  # vetoed
+        assert session.platform.cluster.core(3).is_online  # vetoed
         tree.write("/sys/module/mpdecision/enabled", "0")
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert not simulator.platform.cluster.core(3).is_online
+        assert not session.platform.cluster.core(3).is_online
 
     def test_setspeed_quantises(self, shell):
-        simulator, tree = shell
+        session, tree = shell
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed", "961000")
-        assert simulator.platform.cluster.core(0).frequency_khz == 1_036_800
+        assert session.platform.cluster.core(0).frequency_khz == 1_036_800
 
     def test_scaling_limits(self, shell):
-        simulator, tree = shell
+        session, tree = shell
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_max_freq", "960000")
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed", "2265600")
-        assert simulator.platform.cluster.core(0).frequency_khz == 960_000
+        assert session.platform.cluster.core(0).frequency_khz == 960_000
 
     def test_quota_write(self, shell):
-        simulator, tree = shell
+        session, tree = shell
         tree.write("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "80000")
-        assert simulator.bandwidth.quota == pytest.approx(0.8)
+        assert session.stack.bandwidth.quota == pytest.approx(0.8)
 
     def test_bad_boolean_rejected(self, shell):
         _, tree = shell
@@ -101,8 +101,8 @@ class TestSessionInteraction:
     def test_shell_settings_survive_a_static_session(self, shell):
         """Writes then a session: the static policy re-pins, but the
         run executes with the shell's quota in effect initially."""
-        simulator, tree = shell
+        session, tree = shell
         tree.write("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "85000")
-        result = simulator.run()  # run() resets the controller to 1.0
+        result = session.run()  # run() resets the controller to 1.0
         assert result.mean_power_mw > 0
-        assert simulator.bandwidth.quota == 1.0
+        assert session.stack.bandwidth.quota == 1.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.kernel.engine import KernelStack, Session
-from repro.kernel.simulator import Simulator
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.base import PolicyDecision
 from repro.policies.static import StaticPolicy
@@ -110,14 +109,10 @@ class TestSessionStepping:
 class TestPerSessionAccounting:
     def test_second_run_counts_its_own_transitions(self, short_config):
         """Regression: transition counters used to accumulate across
-        runs, so a reused Simulator reported ever-growing churn."""
-        platform = Platform.from_spec(nexus5_spec())
-        sim = Simulator(
-            platform, BusyLoopApp(40.0), AndroidDefaultPolicy(), short_config,
-            pin_uncore_max=False,
-        )
-        first = sim.run()
-        second = sim.run()
+        runs, so a reused session reported ever-growing churn."""
+        session = fresh_session(short_config)
+        first = session.run()
+        second = session.run()
         assert first.dvfs_transitions > 0
         assert second.dvfs_transitions == first.dvfs_transitions
         assert second.hotplug_transitions == first.hotplug_transitions
@@ -130,25 +125,3 @@ class TestPerSessionAccounting:
         second = session.run()
         assert first.cpuidle is not second.cpuidle
         assert first.cpuidle.total_seconds == second.cpuidle.total_seconds
-
-
-class TestFacade:
-    def test_simulator_exposes_stack_members(self, short_config):
-        platform = Platform.from_spec(nexus5_spec())
-        sim = Simulator(
-            platform, BusyLoopApp(30.0), StaticPolicy(4, 960_000), short_config
-        )
-        assert sim.platform is platform
-        assert sim.cpufreq is sim.session.stack.cpufreq
-        assert sim.hotplug is sim.session.stack.hotplug
-        assert sim.bandwidth is sim.session.stack.bandwidth
-        assert sim.procstat is sim.session.stack.procstat
-
-    def test_simulator_run_matches_session_run(self, short_config):
-        platform_a = Platform.from_spec(nexus5_spec())
-        via_facade = Simulator(
-            platform_a, BusyLoopApp(40.0), AndroidDefaultPolicy(), short_config,
-            pin_uncore_max=False,
-        ).run()
-        direct = fresh_session(short_config).run()
-        assert via_facade.trace.to_csv() == direct.trace.to_csv()

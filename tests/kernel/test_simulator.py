@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SimulationConfig
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.static import StaticPolicy
 from repro.soc.catalog import nexus5_spec
@@ -14,7 +14,7 @@ from repro.workloads.synthetic import ConstantWorkload
 
 def run(policy, workload, config, pin=False):
     platform = Platform.from_spec(nexus5_spec())
-    return Simulator(platform, workload, policy, config, pin_uncore_max=pin).run()
+    return Session(platform, workload, policy, config, pin_uncore_max=pin).run()
 
 
 class TestSessionShape:
@@ -101,10 +101,10 @@ class TestDynamicPolicy:
 
     def test_simulator_reusable_after_run(self, short_config):
         platform = Platform.from_spec(nexus5_spec())
-        sim = Simulator(
+        session = Session(
             platform, BusyLoopApp(30.0), AndroidDefaultPolicy(), short_config,
             pin_uncore_max=False,
         )
-        first = sim.run()
-        second = sim.run()
+        first = session.run()
+        second = session.run()
         assert first.mean_power_mw == pytest.approx(second.mean_power_mw)

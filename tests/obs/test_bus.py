@@ -136,32 +136,3 @@ class TestPublication:
         assert bus.ctx_reason is None
         assert tp.enabled
         assert not other.enabled
-
-
-class TestTelemetry:
-    def test_snapshot(self):
-        bus = TracepointBus(capacity=1)
-        tp = bus.tracepoint("hotplug", "core_state", HotplugEvent)
-        tp.emit(core=0, online=True)
-        tp.emit(core=1, online=True)
-        bus.add_duration("apply.hotplug", 0.001)
-        bus.add_duration("apply.hotplug", 0.003)
-        snapshot = bus.snapshot()
-        assert snapshot.total_events == 2
-        assert snapshot.buffered_events == 1
-        assert snapshot.dropped_events == 1
-        assert snapshot.count("hotplug", "core_state") == 2
-        assert snapshot.count("hotplug") == 2
-        assert snapshot.durations["apply.hotplug"].count == 2
-        assert snapshot.durations["apply.hotplug"].mean == pytest.approx(0.002)
-
-    def test_snapshot_rows_sorted(self):
-        bus = TracepointBus()
-        bus.tracepoint("hotplug", "core_state", HotplugEvent).emit(core=0, online=True)
-        bus.tracepoint("cgroup", "quota_update", QuotaEvent).emit(
-            old_quota=1.0, new_quota=0.9
-        )
-        assert [key for key, _ in bus.snapshot().rows()] == [
-            "cgroup:quota_update",
-            "hotplug:core_state",
-        ]

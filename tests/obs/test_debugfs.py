@@ -1,11 +1,11 @@
-"""The /sys/kernel/debug/tracing knob tree over a live traced simulator."""
+"""The /sys/kernel/debug/tracing knob tree over a live traced session."""
 
 import pytest
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigError
 from repro.kernel.android_shell import build_sysfs
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import Session
 from repro.obs.bus import TracepointBus
 from repro.obs.debugfs import TRACING_ROOT
 from repro.policies.android_default import AndroidDefaultPolicy
@@ -17,7 +17,7 @@ from repro.workloads.busyloop import BusyLoopApp
 @pytest.fixture
 def shell():
     bus = TracepointBus()
-    simulator = Simulator(
+    session = Session(
         Platform.from_spec(nexus5_spec()),
         BusyLoopApp(40.0),
         AndroidDefaultPolicy(),
@@ -25,7 +25,7 @@ def shell():
         pin_uncore_max=False,
         trace=bus,
     )
-    return simulator, build_sysfs(simulator), bus
+    return session, build_sysfs(session), bus
 
 
 class TestKnobTree:
@@ -42,14 +42,14 @@ class TestKnobTree:
         assert set(knobs) <= set(tree)
 
     def test_untraced_simulator_has_no_knobs(self):
-        simulator = Simulator(
+        session = Session(
             Platform.from_spec(nexus5_spec()),
             BusyLoopApp(40.0),
             AndroidDefaultPolicy(),
             SimulationConfig(duration_seconds=1.0, seed=0),
             pin_uncore_max=False,
         )
-        tree = build_sysfs(simulator)
+        tree = build_sysfs(session)
         assert tree.list(TRACING_ROOT) == []
 
     def test_writability_split(self, shell):
@@ -62,37 +62,37 @@ class TestKnobTree:
 
 class TestSwitchesViaSysfs:
     def test_tracing_on_echo_zero_stops_events(self, shell):
-        simulator, tree, bus = shell
+        session, tree, bus = shell
         tree.write(f"{TRACING_ROOT}/tracing_on", "0")
         assert tree.read(f"{TRACING_ROOT}/tracing_on") == "0"
-        simulator.run()
+        session.run()
         assert len(bus) == 0
         tree.write(f"{TRACING_ROOT}/tracing_on", "1")
-        simulator.run()
+        session.run()
         assert bus.counts["counters:tick"] > 0
 
     def test_per_event_enable_round_trip(self, shell):
-        simulator, tree, bus = shell
+        session, tree, bus = shell
         knob = f"{TRACING_ROOT}/events/counters/tick/enable"
         assert tree.read(knob) == "1"
         tree.write(knob, "0")
         assert tree.read(knob) == "0"
-        simulator.run()
+        session.run()
         assert "counters:tick" not in bus.counts
         assert bus.counts["cpufreq:frequency_transition"] > 0
 
     def test_events_enable_toggles_everything(self, shell):
-        simulator, tree, bus = shell
+        session, tree, bus = shell
         tree.write(f"{TRACING_ROOT}/events/enable", "0")
         assert tree.read(f"{TRACING_ROOT}/events/enable") == "0"
-        simulator.run()
+        session.run()
         assert len(bus) == 0
         tree.write(f"{TRACING_ROOT}/events/enable", "1")
         assert tree.read(f"{TRACING_ROOT}/events/enable") == "1"
 
     def test_counters_readable_after_run(self, shell):
-        simulator, tree, bus = shell
-        simulator.run()
+        session, tree, bus = shell
+        session.run()
         assert int(tree.read(f"{TRACING_ROOT}/trace_entries")) == len(bus)
         assert tree.read(f"{TRACING_ROOT}/dropped_events") == "0"
 

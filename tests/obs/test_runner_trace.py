@@ -37,11 +37,7 @@ class TestTraceRequest:
         assert spec().cache_key() != spec(level=50.0).cache_key()
 
     def test_build_bus_honours_request(self):
-        request = TraceRequest(
-            categories=("cpufreq",), ring_capacity=64, profile=True
-        )
-        bus = request.build_bus()
-        assert bus.profile
+        bus = TraceRequest(categories=("cpufreq",), ring_capacity=64).build_bus()
         assert bus.capacity == 64
         assert bus.categories == frozenset({"cpufreq"})
 
@@ -49,7 +45,6 @@ class TestTraceRequest:
         bus = TraceRequest().build_bus()
         assert bus.capacity is None
         assert bus.categories is None
-        assert not bus.profile
 
 
 class TestExecuteSpecFull:

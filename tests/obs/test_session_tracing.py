@@ -1,10 +1,7 @@
 """Session-level tracing: count invariants, context, zero disabled cost."""
 
-import pytest
-
 from repro.config import SimulationConfig
-from repro.kernel.engine import KernelStack
-from repro.kernel.simulator import Simulator
+from repro.kernel.engine import KernelStack, Session
 from repro.obs.bus import Tracepoint, TracepointBus
 from repro.policies.android_default import AndroidDefaultPolicy
 from repro.policies.base import PolicyDecision
@@ -15,31 +12,31 @@ from repro.workloads.busyloop import BusyLoopApp
 
 def traced_run(config, policy=None, workload=None, **bus_kwargs):
     bus = TracepointBus(**bus_kwargs)
-    sim = Simulator(
+    session = Session(
         Platform.from_spec(nexus5_spec()),
         workload or BusyLoopApp(40.0),
         policy or AndroidDefaultPolicy(),
         config,
         trace=bus,
     )
-    return sim, sim.run(), bus
+    return session, session.run(), bus
 
 
 class TestCountInvariants:
     def test_events_match_session_counters(self, short_config):
         """The tentpole invariant: one event per counted transition."""
-        sim, result, bus = traced_run(short_config)
+        session, result, bus = traced_run(short_config)
         counts = bus.counts
         assert counts["cpufreq:frequency_transition"] == result.dvfs_transitions
         assert result.dvfs_transitions > 0
         assert counts.get("hotplug:core_state", 0) == result.hotplug_transitions
         assert (
             counts.get("cgroup:quota_update", 0)
-            == sim.session.stack.bandwidth.update_count
+            == session.stack.bandwidth.update_count
         )
         assert (
             counts.get("hotplug:mpdecision_veto", 0)
-            == sim.session.stack.hotplug.vetoed_offline_requests
+            == session.stack.hotplug.vetoed_offline_requests
         )
 
     def test_tick_events_once_per_tick(self, short_config):
@@ -81,13 +78,13 @@ class TestDisabledOverhead:
             raise AssertionError("emit() reached without a bus attached")
 
         monkeypatch.setattr(Tracepoint, "emit", explode)
-        sim = Simulator(
+        session = Session(
             Platform.from_spec(nexus5_spec()),
             BusyLoopApp(40.0),
             AndroidDefaultPolicy(),
             tiny_config,
         )
-        result = sim.run()
+        result = session.run()
         assert result.dvfs_transitions > 0
 
     def test_disabled_bus_never_constructs_events(self, tiny_config, monkeypatch):
@@ -96,23 +93,23 @@ class TestDisabledOverhead:
 
         monkeypatch.setattr(Tracepoint, "emit", explode)
         bus = TracepointBus(tracing_on=False)
-        sim = Simulator(
+        session = Session(
             Platform.from_spec(nexus5_spec()),
             BusyLoopApp(40.0),
             AndroidDefaultPolicy(),
             tiny_config,
             trace=bus,
         )
-        sim.run()
+        session.run()
         assert len(bus) == 0
 
 
 class TestLifecycle:
     def test_rerun_clears_and_reproduces_events(self, tiny_config):
         """start() must survive the cpuidle ledger swap and re-attach."""
-        sim, _, bus = traced_run(tiny_config)
+        session, _, bus = traced_run(tiny_config)
         first = [(e.category, e.name, e.ts_us) for e in bus.events]
-        sim.run()
+        session.run()
         second = [(e.category, e.name, e.ts_us) for e in bus.events]
         assert second == first  # cleared between runs, then identical
         assert bus.counts["counters:tick"] == tiny_config.total_ticks
@@ -132,15 +129,6 @@ class TestLifecycle:
         assert len(bus) == 100
         assert bus.total_events > 100
         assert bus.dropped_events == bus.total_events - 100
-
-    def test_profile_mode_times_apply_subsystems(self, tiny_config):
-        _, result, bus = traced_run(tiny_config, profile=True)
-        durations = bus.snapshot().durations
-        assert durations["apply.cpufreq"].count > 0
-        assert durations["apply.cpufreq"].mean > 0.0
-        # Profiling must not change what the stack does.
-        _, plain, _ = traced_run(tiny_config)
-        assert plain.mean_power_mw == pytest.approx(result.mean_power_mw)
 
 
 class TestVeto:

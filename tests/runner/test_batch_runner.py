@@ -111,6 +111,25 @@ class TestBatchedRunner:
         assert report.summaries[0] == report.summaries[1]
         assert runner.last_stats.sessions_executed == 3
 
+    def test_batch_failure_reruns_scalar_and_names_the_error(self, monkeypatch):
+        from repro.kernel.batch_engine import BatchSession
+
+        def broken_run(self):
+            raise RuntimeError("vectorized kernel exploded")
+
+        monkeypatch.setattr(BatchSession, "run", broken_run)
+        specs = [sweep_spec(index) for index in range(3)]
+        expected = SessionRunner(batch=False).run(specs)
+        report = SessionRunner(batch=True).run_report(specs)
+        assert report.summaries == expected
+        for outcome in report.outcomes:
+            assert outcome.status == "ok"
+            assert outcome.source == "executed"
+            assert outcome.detail == (
+                "batch path failed (RuntimeError: vectorized kernel exploded); "
+                "ran scalar"
+            )
+
 
 class TestScenarioOrderingRegression:
     def test_run_scenarios_order_is_expansion_order(self):

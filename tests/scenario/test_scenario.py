@@ -61,6 +61,8 @@ class TestSchema:
     def test_unknown_trace_field_rejected(self):
         with pytest.raises(ScenarioError, match="unknown trace field"):
             Scenario.from_payload({"trace": {"ring": 10}})
+        with pytest.raises(ScenarioError, match="unknown trace field"):
+            Scenario.from_payload({"trace": {"profile": True}})
 
     def test_invalid_json_is_typed(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):

@@ -4,8 +4,10 @@ The infrastructure packages (`repro.faults`, `repro.runner`,
 `repro.scenario`, `repro.store`), the hardware substrate (`repro.soc`
 plus `repro.policies.energy_aware`), the columnar trace spine
 (`repro.kernel.trace_buffer`, `repro.obs.columnar`), the ops plane
-(`repro.obs.metrics_plane`), and the batch engine
-(`repro.kernel.batch_engine`) promise complete docstrings —
+(`repro.obs.metrics_plane`), the batch engine
+(`repro.kernel.batch_engine`), and the tick-loop entry point with its
+control planes (`repro.kernel.engine`, `repro.obs.bus`,
+`repro.kernel.android_shell`) promise complete docstrings —
 docs/API.md points readers at `help()` — so the gate is 100%, checked
 by `tools/docstring_coverage.py` in CI and here.
 """
@@ -55,6 +57,15 @@ class TestGatedPackages:
 
     def test_store_package_fully_documented(self):
         result = run_tool("src/repro/store")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "(100.0%)" in result.stdout
+
+    def test_engine_bus_and_shell_fully_documented(self):
+        result = run_tool(
+            "src/repro/kernel/engine.py",
+            "src/repro/obs/bus.py",
+            "src/repro/kernel/android_shell.py",
+        )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "(100.0%)" in result.stdout
 

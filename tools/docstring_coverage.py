@@ -15,8 +15,11 @@ Usage::
 Exits non-zero when coverage over all named paths is below ``--min``
 (default 100), listing every undocumented definition so the failure is
 actionable. CI runs this over ``repro/faults``, ``repro/runner``,
-``repro/scenario``, the trace spine, the ops plane, and the batch
-engine (``repro/kernel/batch_engine.py``).
+``repro/scenario``, ``repro/store``, ``repro/soc``, the trace spine, the
+ops plane, the batch engine (``repro/kernel/batch_engine.py``), the
+energy-aware policy, and the tick loop with its control planes
+(``repro/kernel/engine.py``, ``repro/obs/bus.py``,
+``repro/kernel/android_shell.py``).
 """
 
 from __future__ import annotations
