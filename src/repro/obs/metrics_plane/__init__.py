@@ -16,10 +16,10 @@ heartbeat/progress protocol long sweeps can be watched through.
 * :mod:`repro.obs.metrics_plane.heartbeat` — the JSONL status-file
   protocol (``queued | running | done | error`` per spec, retries,
   ETA) behind ``repro status``;
-* :mod:`repro.obs.metrics_plane.bridge` — folds runner telemetry
-  (:class:`~repro.runner.runner.RunnerStats`, cache/retry events,
-  spec executions) into registry metrics, so the CLI ``--stats`` table
-  and the exposition can never disagree.
+* :mod:`repro.obs.metrics_plane.bridge` — folds each finished runner
+  batch (:class:`~repro.runner.runner.RunnerStats`, the per-spec plan
+  rows, spec executions) into registry metrics, and renders the CLI
+  ``--stats`` table from the same ``RunnerStats`` fields.
 
 Everything here is disabled by default: a runner without a registry or
 status directory takes the exact pre-ops-plane fast path, pinned by
@@ -32,7 +32,6 @@ from .bridge import (
     ensure_runner_metrics,
     format_bytes,
     observe_batch,
-    observe_execution,
     observe_stats,
     stats_rows,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "METRICS_FILENAME",
     "ensure_runner_metrics",
     "observe_batch",
-    "observe_execution",
     "observe_stats",
     "stats_rows",
     "format_bytes",

@@ -1,24 +1,24 @@
-"""Folds runner telemetry into registry metrics — one schema, one place.
+"""Folds a finished runner batch into registry metrics — one schema, one place.
 
 Every runner-facing metric name, label set, and feeding rule lives
-here, so the ``--stats`` table, the Prometheus exposition, and the
-persisted ``metrics.json`` can never drift apart: they are all reads
-of the same :class:`~repro.obs.metrics_plane.registry.MetricsRegistry`
-fed by the same observe functions.
+here, so the Prometheus exposition and the persisted ``metrics.json``
+can never drift apart: they are both reads of the same
+:class:`~repro.obs.metrics_plane.registry.MetricsRegistry` fed by the
+same observe functions.
 
-The feeding discipline avoids double counting by giving each source
-exactly one consumer:
+Everything is fed once per finished batch, from the batch's plan rows
+(the :class:`RunReport` outcomes), so nothing is counted twice:
 
 * scalar batch counters (:func:`observe_stats`) come from the runner's
-  ``RunnerStats`` accounting;
-* per-tier cache lookups come from ``RunnerCacheEvent`` telemetry;
-* per-status spec outcomes come from the :class:`RunReport`;
-* per-execution signals (:func:`observe_execution`) — phase wall
-  breakdowns, session wall histogram, fault firings, peak recorder
-  memory — come from each ``SpecExecution`` as it completes.
+  ``RunnerStats``, itself a reduction over the rows;
+* per-tier cache lookups come from each row's ``lookup`` column, and
+  per-status spec outcomes from its ``status``;
+* per-execution signals — phase wall breakdowns, session wall
+  histogram, fault firings — come from each executed row's
+  ``SpecExecution``.
 
 Everything is duck-typed on attribute names (``sessions_executed``,
-``phase_seconds``, ``outcome``…) so this module never imports
+``phase_seconds``, ``lookup``…) so this module never imports
 :mod:`repro.runner` and the runner can import it without a cycle.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "ensure_store_metrics",
     "observe_stats",
     "observe_batch",
-    "observe_execution",
     "observe_store",
     "stats_rows",
     "format_bytes",
@@ -83,8 +82,8 @@ _STORE_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
      "Files removed by store gc sweeps."),
 )
 
-#: How a ``RunnerCacheEvent.outcome`` maps onto the cache-lookup
-#: counter's ``(tier, outcome)`` labels.
+#: How a row's ``lookup`` maps onto the cache-lookup counter's
+#: ``(tier, outcome)`` labels.
 _CACHE_TIERS: Dict[str, Tuple[str, str]] = {
     "memo_hit": ("memo", "hit"),
     "cache_hit": ("disk", "hit"),
@@ -194,45 +193,32 @@ def observe_stats(registry: MetricsRegistry, stats) -> None:
         registry.gauge("repro_runner_peak_recorder_bytes").set_max(peak)
 
 
-def observe_batch(registry: MetricsRegistry, stats, report, telemetry: Iterable) -> None:
+def observe_batch(registry: MetricsRegistry, stats, report, executions: Iterable) -> None:
     """Fold a whole finished batch into *registry*.
 
-    Combines :func:`observe_stats` with the two event-shaped sources:
-    cache-tier lookups from ``RunnerCacheEvent`` telemetry and spec
-    outcomes from the batch's :class:`RunReport`.
+    Combines :func:`observe_stats` with what exists per row: the
+    cache-tier lookup and status of each of the :class:`RunReport`'s
+    outcomes, and the phase and session wall histograms and fault
+    firings of each executed row's ``SpecExecution`` (*executions*, in
+    the order they completed).
     """
     observe_stats(registry, stats)
-    lookups = registry.counter(
-        "repro_runner_cache_lookups_total", labelnames=("tier", "outcome")
-    )
-    for event in telemetry:
-        if getattr(event, "name", "") != "cache":
-            continue
-        tier_outcome = _CACHE_TIERS.get(event.outcome)
-        if tier_outcome is not None:
-            lookups.inc(tier=tier_outcome[0], outcome=tier_outcome[1])
-    outcomes = registry.counter(
-        "repro_runner_spec_outcomes_total", labelnames=("status",)
-    )
-    for outcome in getattr(report, "outcomes", ()):
-        outcomes.inc(status=outcome.status)
-
-
-def observe_execution(registry: MetricsRegistry, execution) -> None:
-    """Fold one completed ``SpecExecution`` into *registry*.
-
-    Feeds the per-phase and per-session wall histograms and the
-    labelled fault-firing counter — the signals that exist per
-    execution rather than per batch.
-    """
-    ensure_runner_metrics(registry)
+    lookups = registry.get("repro_runner_cache_lookups_total")
+    outcomes = registry.get("repro_runner_spec_outcomes_total")
+    for row in report.outcomes:
+        outcomes.inc(status=row.status)
+        if row.lookup:
+            tier, outcome = _CACHE_TIERS[row.lookup]
+            lookups.inc(tier=tier, outcome=outcome)
     phases = registry.get("repro_runner_phase_seconds")
-    for phase, seconds in sorted(getattr(execution, "phase_seconds", {}).items()):
-        phases.observe(seconds, phase=phase)
-    registry.get("repro_runner_session_wall_seconds").observe(execution.wall_seconds)
+    walls = registry.get("repro_runner_session_wall_seconds")
     faults = registry.get("repro_fault_injections_total")
-    for fault, firings in sorted(getattr(execution, "fault_firings", {}).items()):
-        faults.inc(firings, fault=fault)
+    for execution in executions:
+        for phase, seconds in sorted(execution.phase_seconds.items()):
+            phases.observe(seconds, phase=phase)
+        walls.observe(execution.wall_seconds)
+        for fault, firings in sorted(execution.fault_firings.items()):
+            faults.inc(firings, fault=fault)
 
 
 def format_bytes(count: int) -> str:
@@ -246,40 +232,26 @@ def format_bytes(count: int) -> str:
 
 
 def stats_rows(stats) -> List[Tuple[str, str]]:
-    """The stable ``--stats`` table rows, read back through a registry.
+    """The stable ``--stats`` table rows, read from ``RunnerStats`` fields.
 
     Every row is always present — robustness counters render ``0``
-    instead of disappearing on clean runs — and every value is read
-    from a registry fed by :func:`observe_stats`, so the CLI table is
-    definitionally a view of the same numbers the exposition serves.
+    instead of disappearing on clean runs.  The fields are the same
+    numbers :func:`observe_stats` feeds the exposition.
     """
-    registry = MetricsRegistry()
-    observe_stats(registry, stats)
-
-    def read(name: str) -> float:
-        return registry.counter(name).value()
-
-    executed = read("repro_runner_sessions_executed_total")
-    ticks = read("repro_runner_ticks_simulated_total")
-    wall = read("repro_runner_wall_seconds_total")
-    rows = [
-        ("sessions executed", str(int(executed))),
-        ("ticks simulated", str(int(ticks))),
-        ("memo hits", str(int(read("repro_runner_memo_hits_total")))),
-        ("disk cache hits", str(int(read("repro_runner_disk_cache_hits_total")))),
-        ("store hits", str(int(read("repro_runner_store_hits_total")))),
-        ("retries", str(int(read("repro_runner_retries_total")))),
-        ("timeouts", str(int(read("repro_runner_timeouts_total")))),
-        ("unenforced timeouts",
-         str(int(read("repro_runner_unenforced_timeouts_total")))),
-        ("corrupt cache entries",
-         str(int(read("repro_runner_corrupt_cache_entries_total")))),
-        ("failed specs", str(int(read("repro_runner_failed_specs_total")))),
+    ticks, wall = stats.ticks_simulated, stats.wall_seconds
+    return [
+        ("sessions executed", str(stats.sessions_executed)),
+        ("ticks simulated", str(ticks)),
+        ("memo hits", str(stats.memo_hits)),
+        ("disk cache hits", str(stats.cache_hits)),
+        ("store hits", str(stats.store_hits)),
+        ("retries", str(stats.retries)),
+        ("timeouts", str(stats.timeouts)),
+        ("unenforced timeouts", str(stats.unenforced_timeouts)),
+        ("corrupt cache entries", str(stats.corrupt_cache_entries)),
+        ("failed specs", str(stats.failed_specs)),
         ("wall time (s)", f"{wall:.2f}"),
         ("ticks/second", f"{ticks / wall:.0f}" if wall > 0 else "0"),
-        ("trace bytes recorded",
-         format_bytes(int(read("repro_runner_trace_bytes_total")))),
-        ("peak recorder memory",
-         format_bytes(int(registry.gauge("repro_runner_peak_recorder_bytes").value()))),
+        ("trace bytes recorded", format_bytes(stats.trace_bytes)),
+        ("peak recorder memory", format_bytes(stats.peak_recorder_bytes)),
     ]
-    return rows

@@ -34,29 +34,57 @@ STATUS_ORDER = ("ok", "retried", "degraded", "failed")
 
 @dataclass
 class SpecOutcome:
-    """What happened to one spec of a batch.
+    """One spec's row in a batch plan: how it was routed, what happened.
+
+    The runner classifies every spec into a row before running anything
+    and each later step fills the row in; ``RunnerStats`` and the
+    metrics feed are reductions over the rows.
 
     Attributes:
         index: The spec's position in the batch.
         label: The spec's label (or a positional fallback).
         status: ``ok`` / ``retried`` / ``degraded`` / ``failed``.
-        source: Where the summary came from — ``executed``, ``memo``,
-            ``cache``, or ``alias`` (duplicate of an earlier batch
-            entry); ``none`` for failed specs.
-        attempts: Executions tried (0 for memo/cache/alias hits).
+        attempts: Executions tried (0 for memo/cache/alias rows).
         error: Message of the last error, for retried/failed specs.
         error_type: Class name of the last error (``"RunnerError"``...).
         detail: Extra context (e.g. why a cache entry was corrupt).
+        key: The spec's cache key; ``None`` for non-portable specs.
+        lookup: What the memo/cache lookup found: ``memo_hit``,
+            ``cache_hit``, ``miss``, ``corrupt``, or ``alias`` (served
+            from an earlier row with the same key).  Empty when the spec
+            was never looked up: non-portable or traced specs, column-
+            keeping specs whose cache entry has no blob, and duplicates
+            of a failed spec.
+        route: How the row was served: ``memo``, ``cache`` or ``alias``
+            without executing, or executed as ``batch`` (a vectorized
+            group), ``pool`` (worker processes) or ``inline`` (the driver
+            process).
+        timeouts: Attempts terminated for exceeding ``timeout_seconds``.
     """
 
     index: int
     label: str
     status: str = "ok"
-    source: str = "executed"
     attempts: int = 0
     error: str = ""
     error_type: str = ""
     detail: str = ""
+    key: Optional[str] = None
+    lookup: str = ""
+    route: str = "inline"
+    timeouts: int = 0
+
+    @property
+    def source(self) -> str:
+        """Where the summary came from, read off ``route`` and ``status``.
+
+        ``memo``, ``cache`` or ``alias`` for rows served without
+        executing, ``executed`` for ``batch``/``pool``/``inline`` rows,
+        and ``none`` for failed specs.
+        """
+        if self.status == "failed":
+            return "none"
+        return self.route if self.route in ("memo", "cache", "alias") else "executed"
 
     def escalate(self, status: str) -> None:
         """Raise this outcome's status to *status* if it is stronger."""

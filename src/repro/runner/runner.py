@@ -42,8 +42,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Union
 
 from .cache import ResultCache
 from .report import STATUS_ORDER, RunReport, SpecOutcome
@@ -61,7 +61,6 @@ from ..obs.metrics_plane.bridge import (
     ensure_runner_metrics,
     ensure_store_metrics,
     observe_batch,
-    observe_execution,
     observe_store,
 )
 from ..obs.metrics_plane.heartbeat import (
@@ -201,18 +200,15 @@ class RunnerStats:
             (``store_dir``); counted alongside ``cache_hits``, so the
             ``--stats`` table shows how much of a batch the experiment
             store answered without simulating.
-        unenforced_timeouts: Batched specs that carried a
-            ``timeout_seconds`` budget the vectorized path cannot
-            enforce (batched groups run in the driver process).  Each
-            such spec also gets a per-spec ``detail`` note — the
-            documented gap, now surfaced instead of silent.
+        unenforced_timeouts: Batched or inline specs that carried a
+            ``timeout_seconds`` budget nothing can enforce (both run in
+            the driver process).  Each such spec also gets a per-spec
+            ``detail`` note — the documented gap, surfaced instead of
+            silent.
         corrupt_cache_entries: On-disk entries that failed checksum or
             parsing and were quarantined.
         failed_specs: Specs that never produced a summary.
         wall_seconds: Wall-clock duration of the whole :meth:`run` call.
-        spec_timings: Per-executed-spec ``(label, wall_seconds)`` pairs,
-            in completion order (label falls back to the workload/policy
-            description when the spec carries none).
         trace_bytes: Total columnar trace data recorded by executed
             sessions (zero on a fully warm cache).
         peak_recorder_bytes: Largest single-spec recorder memory
@@ -231,7 +227,6 @@ class RunnerStats:
     corrupt_cache_entries: int = 0
     failed_specs: int = 0
     wall_seconds: float = 0.0
-    spec_timings: List[Tuple[str, float]] = field(default_factory=list)
     trace_bytes: int = 0
     peak_recorder_bytes: int = 0
 
@@ -260,7 +255,6 @@ class RunnerStats:
         self.corrupt_cache_entries += other.corrupt_cache_entries
         self.failed_specs += other.failed_specs
         self.wall_seconds += other.wall_seconds
-        self.spec_timings.extend(other.spec_timings)
         self.trace_bytes += other.trace_bytes
         self.peak_recorder_bytes = max(
             self.peak_recorder_bytes, other.peak_recorder_bytes
@@ -269,6 +263,94 @@ class RunnerStats:
 
 class _SpecTimeout(RunnerError):
     """One spec exceeded the runner's wall-clock budget (internal marker)."""
+
+
+@dataclass
+class _Batch:
+    """One :meth:`SessionRunner.run_report` call in flight.
+
+    The report's outcomes are the plan rows, one per spec.  ``origins``
+    maps a cache key to the row its duplicates alias; ``executions``
+    holds each executed row's result in settle order.
+    """
+
+    specs: Sequence[SessionSpec]
+    report: RunReport
+    telemetry: List[TraceEvent]
+    heartbeat: Optional[HeartbeatWriter] = None
+    began: float = field(default_factory=time.perf_counter)
+    origins: Dict[str, int] = field(default_factory=dict)
+    executions: Dict[int, SpecExecution] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> List[SpecOutcome]:
+        """The plan rows, in spec order."""
+        return self.report.outcomes
+
+    def tell(self, event_cls, **fields) -> None:
+        """Append one runner-telemetry event (wall-clock timestamped)."""
+        ts_us = int((time.perf_counter() - self.began) * 1_000_000)
+        self.telemetry.append(event_cls(ts_us=ts_us, **fields))
+
+    def record_lookup(self, row: SpecOutcome, lookup: str) -> None:
+        """Record a cache-tier lookup on *row* and as a telemetry event."""
+        row.lookup = lookup
+        self.tell(
+            RunnerCacheEvent,
+            outcome=lookup,
+            key=row.key,
+            label=self.specs[row.index].label,
+        )
+
+    def serve(self, row: SpecOutcome, route: str, lookup: str, summary) -> None:
+        """Answer *row* without executing it (memo, cache or alias)."""
+        row.route = route
+        self.report.summaries[row.index] = summary
+        self.record_lookup(row, lookup)
+        self.beat(row, "done", source=route)
+
+    def beat(self, row: SpecOutcome, status: str, **fields) -> None:
+        """Write one heartbeat spec line (no-op without a status_dir)."""
+        if self.heartbeat is not None:
+            self.heartbeat.spec(row.index, row.label, status, **fields)
+
+    def progress(self) -> None:
+        """Write one heartbeat progress line (no-op without a status_dir)."""
+        if self.heartbeat is not None:
+            self.heartbeat.progress()
+
+    def start(self, rows: List[SpecOutcome]) -> None:
+        """Heartbeat: mark *rows* running their next attempt."""
+        for row in rows:
+            self.beat(row, "running", attempts=row.attempts + 1)
+        self.progress()
+
+    def stats(self, store_backed: bool, timeout_set: bool) -> RunnerStats:
+        """This batch's :class:`RunnerStats`, reduced from rows and executions."""
+        rows, executions = self.rows, list(self.executions.values())
+        cache_hits = sum(row.route == "cache" for row in rows)
+        return RunnerStats(
+            sessions_executed=len(executions),
+            ticks_simulated=sum(
+                self.specs[index].config.total_ticks for index in self.executions
+            ),
+            memo_hits=sum(row.source in ("memo", "alias") for row in rows),
+            cache_hits=cache_hits,
+            store_hits=cache_hits if store_backed else 0,
+            unenforced_timeouts=sum(row.route in ("batch", "inline") for row in rows)
+            if timeout_set
+            else 0,
+            retries=sum(max(row.attempts - 1, 0) for row in rows),
+            timeouts=sum(row.timeouts for row in rows),
+            corrupt_cache_entries=sum(row.lookup == "corrupt" for row in rows),
+            failed_specs=sum(row.status == "failed" for row in rows),
+            wall_seconds=time.perf_counter() - self.began,
+            trace_bytes=sum(execution.trace_bytes for execution in executions),
+            peak_recorder_bytes=max(
+                (execution.peak_recorder_bytes for execution in executions),
+                default=0,
+            ),
+        )
 
 
 @dataclass
@@ -286,10 +368,6 @@ class SessionRunner:
             with ``cache_dir`` (the store *is* the cache).  Hits served
             from a store-backed cache are additionally counted as
             ``store_hits`` in the stats.
-        memoize: Keep an in-memory memo of portable results, so repeated
-            driver calls inside one process never re-simulate (the role
-            the old hand-rolled ``game_eval._CACHE`` played, now shared
-            by every consumer).
         batch: Route compatible pending specs through the vectorized
             :class:`~repro.kernel.batch_engine.BatchSession` (same
             platform and timing, untraced, unfaulted, vectorizable
@@ -311,8 +389,11 @@ class SessionRunner:
         timeout_seconds: Per-spec wall-clock budget.  Enforced by
             running portable specs in worker processes (even with
             ``jobs=1``) and terminating workers that exceed it;
-            non-portable specs run in-process and cannot be preempted.
-            ``None`` (the default) disables the budget.
+            non-portable specs run in-process and cannot be preempted,
+            so, like batched specs, each gets a ``timeout not enforced``
+            ``detail`` note and counts in
+            ``RunnerStats.unenforced_timeouts``.  ``None`` (the default)
+            disables the budget.
         last_stats: Accounting of the most recent :meth:`run` call.
         total_stats: The same counters accumulated over every
             :meth:`run` call on this runner — what ``--stats`` prints
@@ -349,7 +430,6 @@ class SessionRunner:
     jobs: int = 1
     cache_dir: Optional[Union[str, os.PathLike]] = None
     store_dir: Optional[Union[str, os.PathLike]] = None
-    memoize: bool = True
     batch: bool = False
     retries: int = 0
     retry_backoff_seconds: float = 0.05
@@ -454,49 +534,72 @@ class SessionRunner:
         quarantined and recomputed, and the returned
         :class:`~repro.runner.report.RunReport` carries a summary (or
         the error) for every spec.  Interrupts always propagate.
+
+        Each spec becomes one row (:class:`SpecOutcome`), and four steps
+        fill the rows in: classify (serving memo and cache hits), the
+        vectorized batch path, execution with retries, and duplicates.
+        ``last_stats`` and the metrics feed are reductions over the rows.
         """
-        batch_began = time.perf_counter()
-        stats = RunnerStats()
         self.last_events = {}
         self.last_event_counts = {}
         self.telemetry = []
-
         report = RunReport()
+        batch = _Batch(specs, report, self.telemetry)
         for index, spec in enumerate(specs):
             if not isinstance(spec, SessionSpec):
                 raise RunnerError(
                     f"batch entry {index} is {type(spec).__name__}, not SessionSpec"
                 )
-            report.outcomes.append(
-                SpecOutcome(index=index, label=spec.label or f"spec[{index}]")
-            )
+            report.outcomes.append(SpecOutcome(index, report_label(spec, index)))
             report.summaries.append(None)
-
-        heartbeat: Optional[HeartbeatWriter] = None
         if self.status_dir is not None:
-            heartbeat = HeartbeatWriter(
+            batch.heartbeat = HeartbeatWriter(
                 heartbeat_path(self.status_dir),
                 total=len(specs),
                 jobs=self.jobs,
-                labels=[outcome.label for outcome in report.outcomes],
+                labels=[row.label for row in report.outcomes],
             )
 
-        pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(specs)
-        first_with_key: Dict[str, int] = {}
-        aliases: List[int] = []
+        self._classify(batch)
+        if self.batch:
+            self._run_batched(batch)
+        self._execute(batch)
+        self._resolve_aliases(batch)
 
-        for index, spec in enumerate(specs):
-            outcome = report.outcomes[index]
+        stats = batch.stats(self.store is not None, self.timeout_seconds is not None)
+        self.last_stats = stats
+        self.total_stats.absorb(stats)
+        self.last_report = report
+        if batch.heartbeat is not None:
+            batch.heartbeat.finish(
+                {status: len(report.by_status(status)) for status in STATUS_ORDER},
+                stats.wall_seconds,
+            )
+        if self.metrics is not None:
+            observe_batch(self.metrics, stats, report, batch.executions.values())
+            if self.store is not None:
+                observe_store(self.metrics, self.store.counters, self._store_seen)
+            if self.status_dir is not None:
+                self._dump_metrics()
+        return report
+
+    # -- the four steps over the rows ------------------------------------
+
+    def _classify(self, batch: _Batch) -> None:
+        """Route every row, serving memo and cache hits on the spot.
+
+        Rows left to execute are routed ``pool`` when portable and keep
+        the default ``inline`` route otherwise; a later duplicate of a
+        portable spec is routed ``alias`` and resolved after execution.
+        """
+        for row, spec in zip(batch.rows, batch.specs):
             if not spec.is_portable:
-                pending.append(index)
                 continue
-            key = spec.cache_key()
-            keys[index] = key
+            row.key = key = spec.cache_key()
+            row.route = "pool"
             if spec.trace is not None:
                 # Traced specs bypass memo/cache/alias: only a real
                 # execution produces the event stream.
-                pending.append(index)
                 continue
             if spec.keep_columns and (
                 self._cache is None or not self._cache.has_columns(key)
@@ -504,288 +607,262 @@ class SessionRunner:
                 # A column-keeping spec is only served from cache when the
                 # entry already carries its blob; otherwise it re-executes
                 # (and the execution stores summary + columns together).
-                pending.append(index)
-                first_with_key.setdefault(key, index)
+                batch.origins.setdefault(key, row.index)
                 continue
-            if key in first_with_key:
+            if key in batch.origins:
                 # Duplicate spec within the batch: simulate once, copy after.
-                aliases.append(index)
+                row.route = "alias"
                 continue
-            first_with_key[key] = index
-            if self.memoize and key in self._memo:
-                report.summaries[index] = self._memo[key]
-                outcome.source = "memo"
-                stats.memo_hits += 1
-                self._tell(batch_began, RunnerCacheEvent, outcome="memo_hit", key=key, label=spec.label)
-                if heartbeat is not None:
-                    heartbeat.spec(index, outcome.label, "done", source="memo")
+            batch.origins[key] = row.index
+            if key in self._memo:
+                batch.serve(row, "memo", "memo_hit", self._memo[key])
                 continue
             if self._cache is not None:
                 with self.span_profiler.span("cache.read"):
                     lookup = self._cache.lookup(key)
                 if lookup.hit:
-                    report.summaries[index] = lookup.summary
-                    outcome.source = "cache"
-                    if self.memoize:
-                        self._memo[key] = lookup.summary
-                    stats.cache_hits += 1
-                    if self.store is not None:
-                        stats.store_hits += 1
-                    self._tell(batch_began, RunnerCacheEvent, outcome="cache_hit", key=key, label=spec.label)
-                    if heartbeat is not None:
-                        heartbeat.spec(index, outcome.label, "done", source="cache")
+                    self._memo[key] = lookup.summary
+                    batch.serve(row, "cache", "cache_hit", lookup.summary)
                     continue
                 if lookup.corrupt:
                     # Quarantine-and-recompute: the entry is preserved
                     # for post-mortem, the spec re-executes from scratch.
                     self._cache.quarantine(key)
-                    stats.corrupt_cache_entries += 1
-                    outcome.escalate("degraded")
-                    outcome.detail = f"corrupt cache entry quarantined ({lookup.detail})"
-                    self._tell(batch_began, RunnerCacheEvent, outcome="corrupt", key=key, label=spec.label)
-                    pending.append(index)
+                    row.escalate("degraded")
+                    row.detail = f"corrupt cache entry quarantined ({lookup.detail})"
+                    batch.record_lookup(row, "corrupt")
                     continue
-            pending.append(index)
-            self._tell(batch_began, RunnerCacheEvent, outcome="miss", key=key, label=spec.label)
+            batch.record_lookup(row, "miss")
 
-        if self.batch and pending:
-            pending = self._run_batched(
-                specs, pending, keys, report, stats, batch_began, heartbeat
-            )
+    def _run_batched(self, batch: _Batch) -> None:
+        """Turn ``pool`` rows into ``batch`` rows through vectorized BatchSessions.
 
-        parallelizable = [i for i in pending if specs[i].is_portable]
-        inline = [i for i in pending if not specs[i].is_portable]
-        use_pool = (self.jobs > 1 and len(parallelizable) > 1) or (
-            self.timeout_seconds is not None and bool(parallelizable)
-        )
-        if not use_pool:
-            inline = sorted(parallelizable + inline)
-            parallelizable = []
+        Pool rows are grouped by
+        :func:`~repro.kernel.batch_engine.batch_compatibility_key`;
+        every group of two or more whose members all vectorize runs as
+        one :class:`~repro.kernel.batch_engine.BatchSession` in the
+        driver process.  Results are written at each spec's own batch
+        index (grouping never reorders the report) and settled like any
+        other execution.  Rows a batch cannot take — unbatchable shapes,
+        scalar-fallback members, groups that error — stay ``pool`` rows;
+        members of a group that errored carry the error in ``detail``.
+        """
+        from ..kernel.batch_engine import BatchSession, batch_compatibility_key
 
-        last_error: Dict[int, Exception] = {}
+        groups: Dict[tuple, List[SpecOutcome]] = {}
+        for row in batch.rows:
+            if row.route == "pool":
+                group_key = batch_compatibility_key(batch.specs[row.index])
+                if group_key is not None:
+                    groups.setdefault(group_key, []).append(row)
 
-        def wave_started(wave: List[int]) -> None:
-            """Heartbeat: mark a dispatched wave's specs as running."""
-            if heartbeat is None:
-                return
-            for wave_index in wave:
-                outcome = report.outcomes[wave_index]
-                heartbeat.spec(
-                    wave_index, outcome.label, "running",
-                    attempts=outcome.attempts + 1,
+        for members in groups.values():
+            if len(members) < 2:
+                continue
+            try:
+                session = BatchSession([batch.specs[row.index] for row in members])
+                if session.fallback_count:
+                    # Leave scalar-fallback members to the worker pool,
+                    # which can at least run them in parallel.
+                    dropped = set(session.fallback_positions)
+                    members = [
+                        row
+                        for position, row in enumerate(members)
+                        if position not in dropped
+                    ]
+                    if len(members) < 2:
+                        continue
+                    session = BatchSession([batch.specs[row.index] for row in members])
+                    if session.fallback_count:
+                        continue
+                batch.start(members)
+                started = time.perf_counter()
+                summaries = session.run()
+            except Exception as error:
+                # The members stay pool rows and re-execute through the
+                # scalar path; each row keeps the reason.
+                note = f"batch path failed ({type(error).__name__}: {error}); ran scalar"
+                for row in members:
+                    row.detail = note
+                continue
+            share = (time.perf_counter() - started) / len(members)
+            for row, summary in zip(members, summaries):
+                row.route = "batch"
+                row.detail = f"batched({len(members)})"
+                execution = SpecExecution(
+                    summary=summary,
+                    wall_seconds=share,
+                    ticks=batch.specs[row.index].config.total_ticks,
+                    worker_pid=os.getpid(),
                 )
-            heartbeat.progress()
+                self._settle(batch, row, execution)
+            batch.progress()
 
-        def wave_finished(results: Dict[int, Union[SpecExecution, Exception]]) -> None:
-            """Heartbeat: mark a finished wave's specs done or error."""
-            if heartbeat is None:
-                return
-            for wave_index in sorted(results):
-                outcome = report.outcomes[wave_index]
-                execution = results[wave_index]
-                if isinstance(execution, SpecExecution):
-                    heartbeat.spec(
-                        wave_index, outcome.label, "done",
-                        attempts=outcome.attempts + 1,
-                        source="executed",
-                        wall_seconds=execution.wall_seconds,
-                    )
-                else:
-                    heartbeat.spec(
-                        wave_index, outcome.label, "error",
-                        attempts=outcome.attempts + 1,
-                        error=str(execution) or type(execution).__name__,
-                    )
-            heartbeat.progress()
+    def _execute(self, batch: _Batch) -> None:
+        """Run the ``pool`` and ``inline`` rows, retrying failed ones.
 
-        remaining_pool = list(parallelizable)
-        remaining_inline = list(inline)
+        Pool rows only use worker processes when that buys something
+        (several rows and ``jobs > 1``, or a timeout to enforce);
+        otherwise they run inline.  Each round runs the pool rows in
+        waves of at most ``jobs`` and then each inline row on its own;
+        rows still failing after ``retries`` extra rounds are failed.
+        """
+        rows = [row for row in batch.rows if row.route in ("pool", "inline")]
+        pooled = [row for row in rows if row.route == "pool"]
+        if not (
+            (self.jobs > 1 and len(pooled) > 1)
+            or (self.timeout_seconds is not None and pooled)
+        ):
+            for row in pooled:
+                row.route = "inline"
+        if self.timeout_seconds is not None:
+            for row in batch.rows:
+                if row.route in ("batch", "inline"):
+                    # The documented gap, surfaced: batched groups and
+                    # inline specs run in the driver process, where a
+                    # wall budget cannot preempt anything.
+                    note = "timeout not enforced"
+                    row.detail = f"{row.detail}; {note}" if row.detail else note
+
         for round_number in range(self.retries + 1):
-            if not remaining_pool and not remaining_inline:
-                break
+            if not rows:
+                return
             if round_number:
                 delay = self.retry_backoff_seconds * (2 ** (round_number - 1))
                 if delay > 0:
                     time.sleep(delay)
-            attempt: Dict[int, Union[SpecExecution, Exception]] = {}
-            if remaining_pool:
-                attempt.update(
-                    self._attempt_parallel(
-                        specs,
-                        remaining_pool,
-                        self.timeout_seconds,
-                        on_wave_start=wave_started,
-                        on_wave_end=wave_finished,
-                    )
-                )
-            for index in remaining_inline:
-                wave_started([index])
-                result = self._attempt_inline(specs[index])
-                attempt[index] = result
-                wave_finished({index: result})
-            pool_set = set(remaining_pool)
-            remaining_pool, remaining_inline = [], []
-            for index in sorted(attempt):
-                execution = attempt[index]
-                outcome = report.outcomes[index]
-                outcome.attempts += 1
-                if isinstance(execution, SpecExecution):
-                    report.summaries[index] = execution.summary
-                    self._record_executed(
-                        index, specs[index], execution, keys[index], stats, batch_began
-                    )
-                    if outcome.attempts > 1:
-                        outcome.escalate("retried")
-                    continue
-                last_error[index] = execution
-                outcome.error = str(execution) or type(execution).__name__
-                outcome.error_type = type(execution).__name__
-                if isinstance(execution, _SpecTimeout):
-                    stats.timeouts += 1
-                if index in pool_set:
-                    remaining_pool.append(index)
-                else:
-                    remaining_inline.append(index)
-            if (remaining_pool or remaining_inline) and round_number < self.retries:
-                for index in remaining_pool + remaining_inline:
-                    stats.retries += 1
-                    self._tell(
-                        batch_began,
+            pooled = [row for row in rows if row.route == "pool"]
+            size = max(1, min(self.jobs, len(pooled)))
+            waves = [pooled[start : start + size] for start in range(0, len(pooled), size)]
+            waves += [[row] for row in rows if row.route == "inline"]
+            for wave in waves:
+                batch.start(wave)
+                attempt = self._run_wave if wave[0].route == "pool" else self._run_inline
+                results = attempt(batch.specs, [row.index for row in wave])
+                for row in wave:
+                    self._settle(batch, row, results[row.index])
+                batch.progress()
+            rows = [row for row in rows if batch.report.summaries[row.index] is None]
+            if round_number < self.retries:
+                for row in rows:
+                    batch.tell(
                         RunnerRetryEvent,
-                        label=report.outcomes[index].label,
-                        attempt=report.outcomes[index].attempts,
-                        error=report.outcomes[index].error,
+                        label=row.label,
+                        attempt=row.attempts,
+                        error=row.error,
                     )
-                    if heartbeat is not None:
-                        # Back in the queue for the next round; the error
-                        # text rides along so the live view shows why.
-                        heartbeat.spec(
-                            index,
-                            report.outcomes[index].label,
-                            "queued",
-                            attempts=report.outcomes[index].attempts,
-                            error=report.outcomes[index].error,
-                        )
+                    # Back in the queue for the next round; the error
+                    # text rides along so the live view shows why.
+                    batch.beat(row, "queued", attempts=row.attempts, error=row.error)
+        for row in rows:
+            row.escalate("failed")
 
-        for index in remaining_pool + remaining_inline:
-            outcome = report.outcomes[index]
-            outcome.escalate("failed")
-            outcome.source = "none"
-            report.errors[index] = last_error[index]
-            stats.failed_specs += 1
+    def _settle(
+        self, batch: _Batch, row: SpecOutcome, result: Union[SpecExecution, Exception]
+    ) -> None:
+        """Record one execution attempt of *row*: its summary or its error.
 
-        for index in aliases:
-            outcome = report.outcomes[index]
-            source_index = first_with_key[keys[index]]
-            summary = report.summaries[source_index]
+        A summary is memoized and written to the cache under the row's
+        key; an error is kept in ``report.errors`` until a later attempt
+        succeeds.
+        """
+        row.attempts += 1
+        index, spec = row.index, batch.specs[row.index]
+        if not isinstance(result, SpecExecution):
+            row.error = str(result) or type(result).__name__
+            row.error_type = type(result).__name__
+            row.timeouts += isinstance(result, _SpecTimeout)
+            batch.report.errors[index] = result
+            batch.beat(row, "error", attempts=row.attempts, error=row.error)
+            return
+        batch.report.summaries[index] = result.summary
+        batch.report.errors.pop(index, None)
+        # The column blob is persisted below; the reduction at batch end
+        # must not hold every spec's blob until then.
+        batch.executions[index] = replace(result, columns=None)
+        if row.attempts > 1:
+            row.escalate("retried")
+        batch.beat(
+            row,
+            "done",
+            attempts=row.attempts,
+            source="batch" if row.route == "batch" else "executed",
+            wall_seconds=result.wall_seconds,
+        )
+        batch.tell(
+            RunnerSessionEvent,
+            label=row.label,
+            wall_seconds=result.wall_seconds,
+            ticks=result.ticks,
+            worker_pid=result.worker_pid,
+        )
+        self.span_profiler.merge(result.phase_seconds)
+        if spec.trace is not None:
+            self.last_events[index] = result.events
+            self.last_event_counts[index] = result.event_counts
+        if row.key is None:
+            return
+        self._memo[row.key] = result.summary
+        if self._cache is not None:
+            with self.span_profiler.span("cache.write"):
+                self._cache.store(
+                    row.key,
+                    result.summary,
+                    spec.cache_payload(),
+                    columns=result.columns,
+                )
+
+    @staticmethod
+    def _resolve_aliases(batch: _Batch) -> None:
+        """Copy each duplicate's summary (or failure) from its origin row."""
+        for row in batch.rows:
+            if row.route != "alias":
+                continue
+            origin = batch.rows[batch.origins[row.key]]
+            summary = batch.report.summaries[origin.index]
             if summary is not None:
-                report.summaries[index] = summary
-                outcome.source = "alias"
-                stats.memo_hits += 1
-                self._tell(
-                    batch_began,
-                    RunnerCacheEvent,
-                    outcome="alias",
-                    key=keys[index],
-                    label=specs[index].label,
-                )
-                if heartbeat is not None:
-                    heartbeat.spec(index, outcome.label, "done", source="alias")
-            else:
-                # The spec this one aliases never produced a summary.
-                origin = report.outcomes[source_index]
-                outcome.escalate("failed")
-                outcome.source = "none"
-                outcome.error = origin.error
-                outcome.error_type = origin.error_type
-                report.errors[index] = report.errors.get(
-                    source_index,
-                    RunnerError(f"aliased spec {origin.label} failed"),
-                )
-                stats.failed_specs += 1
-                if heartbeat is not None:
-                    heartbeat.spec(
-                        index, outcome.label, "error", error=outcome.error
-                    )
-
-        stats.wall_seconds = time.perf_counter() - batch_began
-        self.last_stats = stats
-        self.total_stats.absorb(stats)
-        self.last_report = report
-        if heartbeat is not None:
-            heartbeat.finish(
-                {status: len(report.by_status(status)) for status in STATUS_ORDER},
-                stats.wall_seconds,
-            )
-        if self.metrics is not None:
-            observe_batch(self.metrics, stats, report, self.telemetry)
-            if self.store is not None:
-                observe_store(self.metrics, self.store.counters, self._store_seen)
-            if self.status_dir is not None:
-                self._dump_metrics()
-        return report
+                batch.serve(row, "alias", "alias", summary)
+                continue
+            # The spec this one aliases never produced a summary.
+            row.escalate("failed")
+            row.error, row.error_type = origin.error, origin.error_type
+            batch.report.errors[row.index] = batch.report.errors[origin.index]
+            batch.beat(row, "error", error=row.error)
 
     # -- attempt machinery ----------------------------------------------
 
     @staticmethod
-    def _attempt_inline(spec: SessionSpec) -> Union[SpecExecution, Exception]:
-        """One in-process execution attempt; exceptions become values.
+    def _run_inline(
+        specs: Sequence[SessionSpec], wave: List[int]
+    ) -> Dict[int, Union[SpecExecution, Exception]]:
+        """Run *wave* in this process, one attempt each; exceptions become values.
 
         Only :class:`Exception` is absorbed — ``KeyboardInterrupt`` and
         friends propagate to the caller untouched.
         """
-        try:
-            return execute_spec_full(spec)
-        except Exception as error:
-            return error
-
-    def _attempt_parallel(
-        self,
-        specs: Sequence[SessionSpec],
-        indices: List[int],
-        timeout: Optional[float],
-        on_wave_start=None,
-        on_wave_end=None,
-    ) -> Dict[int, Union[SpecExecution, Exception]]:
-        """One pooled execution attempt per index, in waves.
-
-        Specs are dispatched in waves of at most ``jobs`` so every spec
-        in a wave starts immediately — which is what makes
-        ``timeout_seconds`` a genuine *per-spec* budget (measured from
-        its wave's start) instead of a whole-batch one.
-
-        ``on_wave_start(wave)`` / ``on_wave_end(results)`` fire around
-        each wave — the heartbeat hooks that make ``repro status`` live
-        per wave rather than per batch.
-        """
-        outcomes: Dict[int, Union[SpecExecution, Exception]] = {}
-        wave_size = max(1, min(self.jobs, len(indices)))
-        position = 0
-        while position < len(indices):
-            wave = indices[position : position + wave_size]
-            position += len(wave)
-            if on_wave_start is not None:
-                on_wave_start(wave)
-            wave_outcomes = self._run_wave(specs, wave, timeout)
-            if on_wave_end is not None:
-                on_wave_end(wave_outcomes)
-            outcomes.update(wave_outcomes)
-        return outcomes
+        results: Dict[int, Union[SpecExecution, Exception]] = {}
+        for index in wave:
+            try:
+                results[index] = execute_spec_full(specs[index])
+            except Exception as error:
+                results[index] = error
+        return results
 
     def _run_wave(
-        self,
-        specs: Sequence[SessionSpec],
-        wave: List[int],
-        timeout: Optional[float],
+        self, specs: Sequence[SessionSpec], wave: List[int]
     ) -> Dict[int, Union[SpecExecution, Exception]]:
         """Run one wave in a fresh pool, enforcing the wall-clock budget.
 
-        A fresh pool per wave keeps failure domains small: a worker
-        crash breaks only this wave's pool (every in-flight future of a
-        broken pool fails — that blast radius is part of the documented
-        contract), and terminated hung workers cannot poison later
-        waves.
+        A wave holds at most ``jobs`` specs, so every spec in it starts
+        immediately — which is what makes ``timeout_seconds`` a genuine
+        *per-spec* budget (measured from its wave's start) instead of a
+        whole-batch one.  A fresh pool per wave keeps failure domains
+        small: a worker crash breaks only this wave's pool (every
+        in-flight future of a broken pool fails — that blast radius is
+        part of the documented contract), and terminated hung workers
+        cannot poison later waves.
         """
+        timeout = self.timeout_seconds
         outcomes: Dict[int, Union[SpecExecution, Exception]] = {}
         pool = ProcessPoolExecutor(max_workers=len(wave))
         if self.metrics is not None:
@@ -841,159 +918,6 @@ class SessionRunner:
         return len(processes)
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _tell(self, batch_began: float, event_cls, **fields) -> None:
-        """Append one runner-telemetry event (wall-clock timestamped)."""
-        ts_us = int((time.perf_counter() - batch_began) * 1_000_000)
-        self.telemetry.append(event_cls(ts_us=ts_us, **fields))
-
-    def _run_batched(
-        self,
-        specs: Sequence[SessionSpec],
-        pending: List[int],
-        keys: List[Optional[str]],
-        report: RunReport,
-        stats: RunnerStats,
-        batch_began: float,
-        heartbeat,
-    ) -> List[int]:
-        """Drain batchable pending specs through vectorized BatchSessions.
-
-        Pending specs are grouped by
-        :func:`~repro.kernel.batch_engine.batch_compatibility_key`;
-        every group of two or more whose members all vectorize runs as
-        one :class:`~repro.kernel.batch_engine.BatchSession` in the
-        driver process.  Results are written at each spec's own batch
-        index (grouping never reorders the report) and recorded through
-        the same memo/cache/telemetry path as a pool execution.  Specs a
-        batch cannot take — unbatchable shapes, scalar-fallback members,
-        groups that error — are returned still pending, so the normal
-        pool/inline machinery picks them up unchanged; members of a group
-        that errored carry the error in their outcome's ``detail``.
-        """
-        from ..kernel.batch_engine import BatchSession, batch_compatibility_key
-
-        groups: Dict[tuple, List[int]] = {}
-        for index in pending:
-            group_key = batch_compatibility_key(specs[index])
-            if group_key is not None:
-                groups.setdefault(group_key, []).append(index)
-
-        handled: set = set()
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            try:
-                batch = BatchSession([specs[i] for i in members])
-                if batch.fallback_count:
-                    # Leave scalar-fallback members to the worker pool,
-                    # which can at least run them in parallel.
-                    dropped = set(batch.fallback_positions)
-                    members = [
-                        index
-                        for position, index in enumerate(members)
-                        if position not in dropped
-                    ]
-                    if len(members) < 2:
-                        continue
-                    batch = BatchSession([specs[i] for i in members])
-                    if batch.fallback_count:
-                        continue
-                if heartbeat is not None:
-                    for index in members:
-                        heartbeat.spec(
-                            index, report.outcomes[index].label, "running", attempts=1
-                        )
-                    heartbeat.progress()
-                started = time.perf_counter()
-                summaries = batch.run()
-            except Exception as error:
-                # The members stay pending and re-execute through the
-                # scalar path; each outcome keeps the reason.
-                note = f"batch path failed ({type(error).__name__}: {error}); ran scalar"
-                for index in members:
-                    report.outcomes[index].detail = note
-                continue
-            share = (time.perf_counter() - started) / len(members)
-            for position, index in enumerate(members):
-                execution = SpecExecution(
-                    summary=summaries[position],
-                    wall_seconds=share,
-                    ticks=specs[index].config.total_ticks,
-                    worker_pid=os.getpid(),
-                )
-                outcome = report.outcomes[index]
-                outcome.attempts += 1
-                outcome.detail = f"batched({len(members)})"
-                if self.timeout_seconds is not None:
-                    # The documented gap, surfaced: vectorized groups run
-                    # in the driver process, where a wall budget cannot
-                    # preempt anything.
-                    outcome.detail += "; timeout not enforced"
-                    stats.unenforced_timeouts += 1
-                report.summaries[index] = execution.summary
-                self._record_executed(
-                    index, specs[index], execution, keys[index], stats, batch_began
-                )
-                if heartbeat is not None:
-                    heartbeat.spec(
-                        index,
-                        outcome.label,
-                        "done",
-                        attempts=1,
-                        source="batch",
-                        wall_seconds=share,
-                    )
-            handled.update(members)
-            if heartbeat is not None:
-                heartbeat.progress()
-        if not handled:
-            return pending
-        return [index for index in pending if index not in handled]
-
-    def _record_executed(
-        self,
-        index: int,
-        spec: SessionSpec,
-        execution: SpecExecution,
-        key: Optional[str],
-        stats: RunnerStats,
-        batch_began: float,
-    ) -> None:
-        stats.sessions_executed += 1
-        stats.ticks_simulated += spec.config.total_ticks
-        stats.trace_bytes += execution.trace_bytes
-        stats.peak_recorder_bytes = max(
-            stats.peak_recorder_bytes, execution.peak_recorder_bytes
-        )
-        label = spec.label or f"spec[{index}]"
-        stats.spec_timings.append((label, execution.wall_seconds))
-        self._tell(
-            batch_began,
-            RunnerSessionEvent,
-            label=label,
-            wall_seconds=execution.wall_seconds,
-            ticks=execution.ticks,
-            worker_pid=execution.worker_pid,
-        )
-        self.span_profiler.merge(execution.phase_seconds)
-        if self.metrics is not None:
-            observe_execution(self.metrics, execution)
-        if spec.trace is not None:
-            self.last_events[index] = execution.events
-            self.last_event_counts[index] = execution.event_counts
-        if key is None:
-            return
-        if self.memoize:
-            self._memo[key] = execution.summary
-        if self._cache is not None:
-            with self.span_profiler.span("cache.write"):
-                self._cache.store(
-                    key,
-                    execution.summary,
-                    spec.cache_payload(),
-                    columns=execution.columns,
-                )
 
     def _dump_metrics(self) -> None:
         """Atomically persist the registry snapshot as ``metrics.json``.

@@ -17,8 +17,15 @@ from repro.obs.metrics_plane import (
     parse_prometheus_text,
     read_heartbeat,
     render_prometheus,
+    stats_rows,
 )
-from repro.runner import FactoryRef, ResultCache, SessionRunner, SessionSpec
+from repro.runner import (
+    FactoryRef,
+    ResultCache,
+    RunnerStats,
+    SessionRunner,
+    SessionSpec,
+)
 from repro.runner.report import STATUS_ORDER
 
 
@@ -188,3 +195,58 @@ class TestDriverAggregation:
         runner.run([busyloop_spec(0, 40.0)])  # identical: memo hit
         lookups = runner.metrics.get("repro_runner_cache_lookups_total")
         assert lookups.value(tier="memo", outcome="hit") == 1.0
+
+
+class TestStatsTable:
+    """The ``--stats`` rows are a stable interface: names, order, format."""
+
+    def test_every_counter_renders_in_its_documented_row(self):
+        stats = RunnerStats(
+            sessions_executed=3,
+            ticks_simulated=12000,
+            memo_hits=2,
+            cache_hits=5,
+            store_hits=4,
+            unenforced_timeouts=1,
+            retries=6,
+            timeouts=2,
+            corrupt_cache_entries=1,
+            failed_specs=1,
+            wall_seconds=2.5,
+            trace_bytes=3 * 1024 * 1024 + 512,
+            peak_recorder_bytes=2048,
+        )
+        assert stats_rows(stats) == [
+            ("sessions executed", "3"),
+            ("ticks simulated", "12000"),
+            ("memo hits", "2"),
+            ("disk cache hits", "5"),
+            ("store hits", "4"),
+            ("retries", "6"),
+            ("timeouts", "2"),
+            ("unenforced timeouts", "1"),
+            ("corrupt cache entries", "1"),
+            ("failed specs", "1"),
+            ("wall time (s)", "2.50"),
+            ("ticks/second", "4800"),
+            ("trace bytes recorded", "3.0 MiB"),
+            ("peak recorder memory", "2.0 KiB"),
+        ]
+
+    def test_empty_stats_render_zeros(self):
+        assert dict(stats_rows(RunnerStats())) == {
+            "sessions executed": "0",
+            "ticks simulated": "0",
+            "memo hits": "0",
+            "disk cache hits": "0",
+            "store hits": "0",
+            "retries": "0",
+            "timeouts": "0",
+            "unenforced timeouts": "0",
+            "corrupt cache entries": "0",
+            "failed specs": "0",
+            "wall time (s)": "0.00",
+            "ticks/second": "0",
+            "trace bytes recorded": "0 B",
+            "peak recorder memory": "0 B",
+        }

@@ -148,8 +148,6 @@ class TestRunnerTelemetry:
         assert total.ticks_simulated == CFG.total_ticks
         assert total.memo_hits == 1
         assert total.wall_seconds > 0.0
-        assert [label for label, _ in total.spec_timings] == ["spec[0]"]
-        assert all(wall > 0.0 for _, wall in total.spec_timings)
         assert total.ticks_per_second > 0.0
 
     def test_empty_stats_rate_is_zero(self):

@@ -193,6 +193,26 @@ class TestUnenforcedTimeoutAccounting:
         runner.run([sweep_spec(0)])
         assert runner.last_stats.unenforced_timeouts == 0
 
+    def test_inline_specs_surface_the_timeout_gap(self):
+        # A non-portable spec (lambda factories) runs in the driver
+        # process like a batched group, so its budget is not enforced
+        # either: the same note and the same count, never silence.
+        from repro.policies.static import StaticPolicy
+        from repro.workloads.busyloop import BusyLoopApp
+
+        inline = SessionSpec(
+            platform=PLATFORM,
+            policy=lambda: StaticPolicy(2, 960_000),
+            workload=lambda: BusyLoopApp(40.0),
+            config=SimulationConfig(duration_seconds=1.0, seed=0, warmup_seconds=0.2),
+            label="inline",
+        )
+        runner = SessionRunner(jobs=2, timeout_seconds=0.001)
+        report = runner.run_report([inline])
+        assert report.outcomes[0].status == "ok"
+        assert "timeout not enforced" in report.outcomes[0].detail
+        assert runner.last_stats.unenforced_timeouts == 1
+
     def test_stats_table_reports_the_counter(self):
         from repro.obs.metrics_plane import stats_rows
 

@@ -8,6 +8,8 @@ from repro.config import SimulationConfig
 from repro.errors import RunnerError
 from repro.experiments.common import GAME_NAMES
 from repro.metrics.summary import SessionSummary
+from repro.obs.events import RunnerCacheEvent
+from repro.obs.metrics_plane import heartbeat_path, read_heartbeat
 from repro.runner import (
     FactoryRef,
     ResultCache,
@@ -100,6 +102,45 @@ class TestBatchSemantics:
         results = runner.run([spec, busyloop_spec()])
         assert runner.last_stats.sessions_executed == 2
         assert results[0] == execute_spec(spec)
+
+
+class TestAliasOfFailedSpec:
+    def test_duplicate_of_a_failed_spec_fails_with_the_same_error(self, tmp_path):
+        """A duplicate never runs: it inherits its origin's failure."""
+        spec = SessionSpec(
+            platform="Nexus 5",
+            policy=FactoryRef.to("repro.policies.static:StaticPolicy", 2, 960_000),
+            workload=FactoryRef.to(
+                "repro.faults.chaos:FlakyOnceWorkload",
+                str(tmp_path / "flaky.token"), 40.0,
+            ),
+            config=CFG,
+            pin_uncore_max=False,
+        )
+        status_dir = tmp_path / "status"
+        runner = SessionRunner(jobs=1, retries=0, status_dir=status_dir)
+        report = runner.run_report([spec, spec])
+
+        origin, alias = report.outcomes
+        assert [origin.status, alias.status] == ["failed", "failed"]
+        assert alias.attempts == 0
+        assert alias.source == "none"
+        assert (alias.error, alias.error_type) == (origin.error, origin.error_type)
+        assert report.errors[1] is report.errors[0]
+
+        assert runner.last_stats.failed_specs == 2
+        assert runner.last_stats.memo_hits == 0
+        cache_events = [
+            event.outcome for event in runner.telemetry
+            if isinstance(event, RunnerCacheEvent)
+        ]
+        assert cache_events == ["miss"]
+        lookups = runner.metrics.get("repro_runner_cache_lookups_total")
+        assert lookups.value(tier="batch", outcome="alias") == 0
+
+        state = read_heartbeat(heartbeat_path(status_dir))
+        assert state.final_counts.get("failed") == 2
+        assert state.specs[1].status == "error"
 
 
 class TestParallelDeterminism:
