@@ -8,10 +8,9 @@ to a :class:`~repro.soc.platform.Platform`.
 """
 
 from .clock import SimClock
-from .task import Task, TaskDemand, WorkItem
-from .runqueue import RunQueue
+from .task import Task, TaskDemand
 from .scheduler import LoadBalancingScheduler, DispatchResult
-from .procstat import ProcStat, TickUtilization
+from .procstat import ProcStat
 from .cpufreq import CpufreqSubsystem, FrequencyLimits
 from .cpuidle import CpuidleStats
 from .hotplug import HotplugSubsystem
@@ -28,12 +27,9 @@ __all__ = [
     "SimClock",
     "Task",
     "TaskDemand",
-    "WorkItem",
-    "RunQueue",
     "LoadBalancingScheduler",
     "DispatchResult",
     "ProcStat",
-    "TickUtilization",
     "CpufreqSubsystem",
     "FrequencyLimits",
     "CpuidleStats",

@@ -21,7 +21,8 @@ Each tick (the governor sampling period, default 20 ms):
 2. the scheduler balances it over online cores under the bandwidth quota
    and executes it; unfinished work carries over as backlog;
 3. per-core busy fractions are accounted (ACTIVE/IDLE states update);
-4. the power model is read, the thermal node advances, meters record;
+4. the power model is read, the thermal node advances, the trace records
+   the tick;
 5. the policy observes the tick and decides next-tick frequencies,
    online mask, and quota; cpufreq/hotplug/cgroup apply them.
 
@@ -358,7 +359,8 @@ class Session:
                 core.account(min(dispatch.busy_fractions[core.core_id], 1.0))
         self.workload.record_execution(tick, dispatch.executed_by_task)
 
-        snapshot = stack.procstat.record(
+        procstat = stack.procstat
+        global_percent = procstat.record(
             tick,
             [min(100.0, 100.0 * f) for f in dispatch.busy_fractions],
             cluster.online_mask,
@@ -387,7 +389,7 @@ class Session:
             cluster.frequencies_khz,
             cluster.online_mask,
             dispatch.busy_fractions,
-            snapshot.global_percent,
+            global_percent,
             stack.bandwidth.quota,
             breakdown.total_mw,
             breakdown.cpu_mw,
@@ -403,7 +405,7 @@ class Session:
             tp.emit(
                 power_mw=breakdown.total_mw,
                 cpu_power_mw=breakdown.cpu_mw,
-                util_percent=snapshot.global_percent,
+                util_percent=global_percent,
                 scaled_load_percent=scaled_load,
                 quota=stack.bandwidth.quota,
                 online_cores=sum(cluster.online_mask),
@@ -413,9 +415,9 @@ class Session:
         observation = SystemObservation(
             tick=tick,
             dt_seconds=dt,
-            per_core_load_percent=tuple(snapshot.per_core_percent),
-            global_util_percent=snapshot.global_percent,
-            delta_util_percent=stack.procstat.delta_global_percent(),
+            per_core_load_percent=procstat.per_core_percent,
+            global_util_percent=global_percent,
+            delta_util_percent=procstat.delta_global_percent(),
             frequencies_khz=tuple(cluster.frequencies_khz),
             online_mask=tuple(cluster.online_mask),
             quota=stack.bandwidth.quota,

@@ -2,88 +2,53 @@
 
 Both default Android mechanisms and MobiCore key off CPU utilization
 (section 2.2): per-core busy percentages and their average over cores.
-:class:`ProcStat` keeps the per-tick history so policies can also read
-the *variation* of utilization between tick t and t-1, which is what
-MobiCore's burst/slow-mode detector consumes (section 5.2).
+MobiCore's burst/slow-mode detector also reads the *variation* of
+utilization between tick t and t-1 (section 5.2), so :class:`ProcStat`
+keeps the last two ticks and nothing older; session-long statistics
+come from the trace (:class:`~repro.metrics.summary.SessionSummary`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..errors import MeterError
 from ..units import require_percent
 
-__all__ = ["TickUtilization", "ProcStat"]
-
-
-@dataclass(frozen=True)
-class TickUtilization:
-    """Utilization snapshot of one tick.
-
-    Attributes:
-        tick: Tick index.
-        per_core_percent: Busy percentage per core id (0 for offline).
-        online_mask: Which cores were online during the tick.
-    """
-
-    tick: int
-    per_core_percent: Sequence[float]
-    online_mask: Sequence[bool]
-
-    @property
-    def global_percent(self) -> float:
-        """Average utilization over *online* cores (paper section 2.2)."""
-        online = [u for u, on in zip(self.per_core_percent, self.online_mask) if on]
-        if not online:
-            return 0.0
-        return sum(online) / len(online)
-
-    @property
-    def online_count(self) -> int:
-        """Cores online during the tick."""
-        return sum(1 for on in self.online_mask if on)
+__all__ = ["ProcStat"]
 
 
 class ProcStat:
-    """Rolling per-tick utilization history."""
+    """The latest tick's utilization, plus the previous tick's average.
 
-    def __init__(self, history_limit: int = 512) -> None:
-        if history_limit < 2:
-            raise MeterError(f"history_limit must be >= 2, got {history_limit}")
-        self.history_limit = history_limit
-        self._history: List[TickUtilization] = []
+    Attributes:
+        tick: Index of the latest recorded tick (None before the first).
+        per_core_percent: The latest tick's busy percentage per core id
+            (0 for offline cores).
+        global_percent: The latest tick's average over *online* cores
+            (paper section 2.2); 0 when no core was online.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
 
     def record(
         self, tick: int, per_core_percent: Sequence[float], online_mask: Sequence[bool]
-    ) -> TickUtilization:
-        """Append one tick's utilization, returning the snapshot."""
+    ) -> float:
+        """Account one tick's utilization, returning its global percent."""
         if len(per_core_percent) != len(online_mask):
             raise MeterError(
                 f"{len(per_core_percent)} utilizations for {len(online_mask)} online flags"
             )
         for value in per_core_percent:
             require_percent(value, "per-core utilization")
-        snapshot = TickUtilization(
-            tick=tick,
-            per_core_percent=tuple(per_core_percent),
-            online_mask=tuple(online_mask),
-        )
-        self._history.append(snapshot)
-        if len(self._history) > self.history_limit:
-            del self._history[: len(self._history) - self.history_limit]
-        return snapshot
-
-    @property
-    def latest(self) -> Optional[TickUtilization]:
-        """Most recent snapshot, or None before the first tick."""
-        return self._history[-1] if self._history else None
-
-    @property
-    def previous(self) -> Optional[TickUtilization]:
-        """Second most recent snapshot, or None."""
-        return self._history[-2] if len(self._history) >= 2 else None
+        online = [u for u, on in zip(per_core_percent, online_mask) if on]
+        if self.tick is not None:
+            self._previous_global_percent = self.global_percent
+        self.tick = tick
+        self.per_core_percent = tuple(per_core_percent)
+        self.global_percent = sum(online) / len(online) if online else 0.0
+        return self.global_percent
 
     def delta_global_percent(self) -> float:
         """Utilization change between the last two ticks (t minus t-1).
@@ -91,17 +56,13 @@ class ProcStat:
         Zero before two ticks exist.  This is the signal MobiCore's
         bandwidth controller thresholds against (Table 2).
         """
-        if self.latest is None or self.previous is None:
+        if self._previous_global_percent is None:
             return 0.0
-        return self.latest.global_percent - self.previous.global_percent
-
-    def mean_global_percent(self, last_n: Optional[int] = None) -> float:
-        """Mean global utilization over the last *last_n* ticks (or all kept)."""
-        if not self._history:
-            return 0.0
-        window = self._history if last_n is None else self._history[-last_n:]
-        return sum(snapshot.global_percent for snapshot in window) / len(window)
+        return self.global_percent - self._previous_global_percent
 
     def reset(self) -> None:
-        """Drop all history (new session)."""
-        self._history.clear()
+        """Forget both ticks (new session)."""
+        self.tick: Optional[int] = None
+        self.per_core_percent: Tuple[float, ...] = ()
+        self.global_percent = 0.0
+        self._previous_global_percent: Optional[float] = None

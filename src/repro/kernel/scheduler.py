@@ -19,18 +19,15 @@ greedy balancer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .runqueue import RunQueue
-from .task import Task, TaskDemand, WorkItem
+from .task import Task, TaskDemand
 from ..errors import SchedulerError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
 from ..obs.events import SchedMigrationEvent
 from ..soc.cpu_cluster import CpuCluster
 from ..soc.topology import CpuTopology
 from ..units import require_fraction, require_positive
-
-from typing import Union
 
 __all__ = ["DispatchResult", "LoadBalancingScheduler"]
 
@@ -122,6 +119,9 @@ class LoadBalancingScheduler:
         capacity than a little core at the same frequency, so the
         greedy balancer naturally prefers big cores for heavy serial
         tasks and migrates tasks across clusters as capacities shift.
+
+        Every float is computed in a fixed order (docs/NUMERICS.md): the
+        golden session files pin the executed work bit for bit.
         """
         require_positive(dt_seconds, "dt_seconds")
         require_fraction(quota, "quota")
@@ -129,23 +129,42 @@ class LoadBalancingScheduler:
         if not online:
             raise SchedulerError("cannot dispatch with no online cores")
 
-        items = self._merge_backlog(demands)
-        queues = {core.core_id: RunQueue(core.core_id) for core in online}
-        remaining = {
-            core.core_id: core.capacity_cycles(dt_seconds, quota) for core in online
+        # One item per task: carried backlog first, in backlog order, then
+        # fresh demand.  A task with both runs ``fresh + carried`` cycles.
+        carried = self._backlog
+        tasks = {task_id: task for task_id, (task, _) in carried.items()}
+        fresh = dict.fromkeys(carried, 0.0)
+        for demand in demands:
+            task_id = demand.task.task_id
+            if task_id in fresh:
+                fresh[task_id] += demand.cycles
+            else:
+                tasks[task_id] = demand.task
+                fresh[task_id] = demand.cycles
+        totals = {
+            task_id: cycles + (carried[task_id][1] if task_id in carried else 0.0)
+            for task_id, cycles in fresh.items()
         }
 
-        parallel_items = [item for item in items if item.task.parallel]
-        serial_items = [item for item in items if not item.task.parallel]
+        # Per online core, by position in *online*: capacity under the
+        # quota, what is still free of it, and the (task id, cycles)
+        # assignments in the order they were made.
+        capacities = [core.capacity_cycles(dt_seconds, quota) for core in online]
+        remaining = list(capacities)
+        assigned: List[List[Tuple[int, float]]] = [[] for _ in online]
 
-        # Single-thread work first, largest first, to the emptiest core:
-        # a thread is bound to one core for the tick.
-        serial_items.sort(key=lambda item: item.total_cycles, reverse=True)
-        for item in serial_items:
-            target = max(remaining, key=lambda cid: remaining[cid])
-            queues[target].assign(item.task, item.total_cycles)
-            remaining[target] = max(0.0, remaining[target] - item.total_cycles)
-            task_id = item.task.task_id
+        # Single-thread work first, largest first, to the emptiest core
+        # (the first one on ties): a thread is bound to one core per tick.
+        serial = [task_id for task_id in totals if not tasks[task_id].parallel]
+        parallel = [task_id for task_id in totals if tasks[task_id].parallel]
+        serial.sort(key=totals.__getitem__, reverse=True)
+        for task_id in serial:
+            cycles = totals[task_id]
+            slot = remaining.index(max(remaining))
+            if cycles > 0:
+                assigned[slot].append((task_id, cycles))
+            remaining[slot] = max(0.0, remaining[slot] - cycles)
+            target = online[slot].core_id
             previous = self._last_core.get(task_id)
             if previous is not None and previous != target:
                 tp = self._tp_migration
@@ -153,94 +172,55 @@ class LoadBalancingScheduler:
                     tp.emit(task_id=task_id, from_core=previous, to_core=target)
             self._last_core[task_id] = target
 
-        # Parallel work divides over whatever capacity is left (water fill).
-        for item in parallel_items:
-            self._assign_parallel(item, queues, remaining)
+        # Parallel work divides over whatever capacity is left (water
+        # fill); with none left, the whole item queues on the emptiest
+        # core so it is accounted as that task's leftover.
+        for task_id in parallel:
+            cycles = totals[task_id]
+            total_free = sum(remaining)
+            if total_free > 0:
+                for slot, free in enumerate(remaining):
+                    share = cycles * free / total_free
+                    if share > 0:
+                        assigned[slot].append((task_id, share))
+                        remaining[slot] = max(0.0, free - share)
+            elif cycles > 0:
+                assigned[remaining.index(max(remaining))].append((task_id, cycles))
 
+        # Each core runs its assignments in order; old work drains first.
         busy_cycles = [0.0] * len(cluster)
         busy_fractions = [0.0] * len(cluster)
-        executed_by_task: Dict[int, float] = {}
-        leftover_by_task: Dict[int, float] = {}
-        task_index = {item.task.task_id: item.task for item in items}
-        for core in online:
-            capacity = core.capacity_cycles(dt_seconds, quota)
-            busy, executed, leftover = queues[core.core_id].execute(capacity)
+        executed: Dict[int, float] = {}
+        leftover: Dict[int, float] = {}
+        for core, capacity, queue in zip(online, capacities, assigned):
+            free = capacity
+            for task_id, cycles in queue:
+                ran = min(cycles, free)
+                free -= ran
+                if ran > 0:
+                    executed[task_id] = executed.get(task_id, 0.0) + ran
+                rest = cycles - ran
+                if rest > 0:
+                    leftover[task_id] = leftover.get(task_id, 0.0) + rest
+            busy = capacity - free
             busy_cycles[core.core_id] = busy
             full_capacity = core.capacity_cycles(dt_seconds, 1.0)
             busy_fractions[core.core_id] = busy / full_capacity if full_capacity else 0.0
-            for task_id, cycles in executed.items():
-                executed_by_task[task_id] = executed_by_task.get(task_id, 0.0) + cycles
-            for task_id, cycles in leftover.items():
-                leftover_by_task[task_id] = leftover_by_task.get(task_id, 0.0) + cycles
 
-        dropped = self._store_backlog(leftover_by_task, task_index, cluster, dt_seconds)
-        return DispatchResult(
-            busy_cycles=busy_cycles,
-            busy_fractions=busy_fractions,
-            executed_by_task=executed_by_task,
-            backlog_by_task=self.backlog,
-            dropped_cycles=dropped,
-        )
-
-    # -- internals -------------------------------------------------------
-
-    def _merge_backlog(self, demands: Sequence[TaskDemand]) -> List[WorkItem]:
-        """Combine fresh demand with carried backlog into work items."""
-        items: Dict[int, WorkItem] = {}
-        for task_id, (task, cycles) in self._backlog.items():
-            items[task_id] = WorkItem(task=task, cycles=0.0, from_backlog=cycles)
-        for demand in demands:
-            existing = items.get(demand.task.task_id)
-            if existing is None:
-                items[demand.task.task_id] = WorkItem(task=demand.task, cycles=demand.cycles)
-            else:
-                existing.cycles += demand.cycles
-        self._backlog.clear()
-        return list(items.values())
-
-    @staticmethod
-    def _assign_parallel(
-        item: WorkItem, queues: Dict[int, RunQueue], remaining: Dict[int, float]
-    ) -> None:
-        """Split a divisible item over cores proportionally to free capacity.
-
-        Any residue beyond total free capacity lands on the emptiest core
-        so it is accounted as that task's leftover.
-        """
-        total_free = sum(remaining.values())
-        pending = item.total_cycles
-        if total_free > 0:
-            for core_id in list(remaining):
-                share = pending * remaining[core_id] / total_free
-                if share > 0:
-                    queues[core_id].assign(item.task, share)
-                    remaining[core_id] = max(0.0, remaining[core_id] - share)
-            pending = 0.0
-        if pending > 0 or total_free <= 0:
-            overflow = item.total_cycles if total_free <= 0 else pending
-            if overflow > 0:
-                target = max(remaining, key=lambda cid: remaining[cid])
-                queues[target].assign(item.task, overflow)
-
-    def _store_backlog(
-        self,
-        leftover_by_task: Dict[int, float],
-        task_index: Dict[int, Task],
-        cluster: Union[CpuCluster, CpuTopology],
-        dt_seconds: float,
-    ) -> float:
-        """Persist leftovers as next-tick backlog, applying the cap.
-
-        The cap is sized against the fastest domain's fmax — one "tick
-        of a core" means the strongest core available.
-        """
-        cap = (
-            cluster.max_frequency_khz * 1000.0 * dt_seconds * self.backlog_cap_ticks
-        )
+        # Leftovers become next tick's backlog, capped at backlog_cap_ticks
+        # of the fastest domain's fmax; the excess is dropped.
+        cap = cluster.max_frequency_khz * 1000.0 * dt_seconds * self.backlog_cap_ticks
         dropped = 0.0
-        for task_id, cycles in leftover_by_task.items():
+        self._backlog = {}
+        for task_id, cycles in leftover.items():
             kept = min(cycles, cap)
             dropped += cycles - kept
             if kept > 0:
-                self._backlog[task_id] = (task_index[task_id], kept)
-        return dropped
+                self._backlog[task_id] = (tasks[task_id], kept)
+        return DispatchResult(
+            busy_cycles=busy_cycles,
+            busy_fractions=busy_fractions,
+            executed_by_task=executed,
+            backlog_by_task=self.backlog,
+            dropped_cycles=dropped,
+        )

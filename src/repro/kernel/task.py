@@ -1,9 +1,7 @@
 """Tasks and per-tick demand: the scheduler's unit of work.
 
 A :class:`Task` is a schedulable entity (a thread of an app); a
-:class:`TaskDemand` is the cycles that task wants to run during one tick;
-a :class:`WorkItem` is what actually sits on a runqueue (demand plus any
-backlog carried from earlier ticks).
+:class:`TaskDemand` is the cycles that task wants to run during one tick.
 
 The key scheduling property a task carries is whether its per-tick demand
 is **divisible** across cores.  A single thread can never use more than
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from ..errors import WorkloadError
 from ..units import require_non_negative
 
-__all__ = ["Task", "TaskDemand", "WorkItem"]
+__all__ = ["Task", "TaskDemand"]
 
 
 @dataclass(frozen=True)
@@ -57,20 +55,3 @@ class TaskDemand:
     def __post_init__(self) -> None:
         require_non_negative(self.cycles, "cycles")
 
-
-@dataclass
-class WorkItem:
-    """A task's pending work on a runqueue: fresh demand plus carried backlog."""
-
-    task: Task
-    cycles: float
-    from_backlog: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_non_negative(self.cycles, "cycles")
-        require_non_negative(self.from_backlog, "from_backlog")
-
-    @property
-    def total_cycles(self) -> float:
-        """All cycles pending for this task this tick."""
-        return self.cycles + self.from_backlog

@@ -14,7 +14,6 @@ to the old per-record Python sums — see
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Union, overload
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .trace_buffer import FLUSH_TICKS, TraceBuffer, sequential_sum
 from ..errors import TraceError
+from ..obs.columnar import ticks_to_csv
 
 __all__ = ["TickRecord", "TraceRecorder", "TraceView"]
 
@@ -78,23 +78,6 @@ class TickRecord:
             cached = sum(online) / len(online) if online else 0.0
             object.__setattr__(self, "_mean_online_frequency", cached)
         return cached
-
-
-_CSV_COLUMNS = (
-    "tick",
-    "time_s",
-    "global_util_pct",
-    "scaled_load_pct",
-    "quota",
-    "power_mw",
-    "cpu_power_mw",
-    "temperature_c",
-    "online_count",
-    "mean_freq_khz",
-    "backlog_cycles",
-    "dropped_cycles",
-    "fps",
-)
 
 
 class TraceView(Sequence[TickRecord]):
@@ -331,33 +314,8 @@ class TraceRecorder:
     def to_csv(self) -> str:
         """Render all records (including warmup) as CSV text.
 
-        Streams straight from the columns — no record objects are
-        materialized — and keeps the exact formatting of the legacy
-        per-record writer.
+        One writer serves every export: this is
+        :func:`~repro.obs.columnar.ticks_to_csv` over the recorder's
+        buffer, streamed from the columns without materializing records.
         """
-        buffer = self._buffer
-        out = io.StringIO()
-        out.write(",".join(_CSV_COLUMNS) + "\n")
-        ticks = buffer.scalar("tick")
-        times = buffer.scalar("time_seconds")
-        utils = buffer.scalar("global_util_percent")
-        scaled = buffer.scalar("scaled_load_percent")
-        quotas = buffer.scalar("quota")
-        powers = buffer.scalar("power_mw")
-        cpu_powers = buffer.scalar("cpu_power_mw")
-        temps = buffer.scalar("temperature_c")
-        backlogs = buffer.scalar("backlog_cycles")
-        droppeds = buffer.scalar("dropped_cycles")
-        fps_col = buffer.scalar("fps")
-        counts = buffer.online_counts()
-        mean_freqs = buffer.mean_online_frequencies()
-        for i in range(len(ticks)):
-            fps = fps_col[i]
-            out.write(
-                f"{int(ticks[i])},{times[i]:.3f},{utils[i]:.2f},{scaled[i]:.2f},"
-                f"{quotas[i]:.3f},{powers[i]:.2f},{cpu_powers[i]:.2f},"
-                f"{temps[i]:.2f},{int(counts[i])},{mean_freqs[i]:.0f},"
-                f"{backlogs[i]:.0f},{droppeds[i]:.0f},"
-                f"{'' if np.isnan(fps) else format(fps, '.2f')}\n"
-            )
-        return out.getvalue()
+        return ticks_to_csv(self._buffer)

@@ -1,23 +1,16 @@
-"""Measurement: the simulation's Monsoon meter, FPS counter, and collectors.
+"""Measurement: one summary row per session, read from its trace.
 
 The paper measures with a Monsoon power monitor at the battery pins plus
-the in-house kernel app's log file.  Here :class:`PowerMeter` plays the
-Monsoon role, :class:`FpsMeter` the FPS counter of section 6.2, and the
-collectors compute the Figure 12/13 hardware-usage statistics.  All of
-them can ingest a finished session's :class:`~repro.kernel.tracing.TraceRecorder`.
+the in-house kernel app's log file.  Here the session's
+:class:`~repro.kernel.tracing.TraceRecorder` is that log, and
+:func:`summarize` reduces it to the :class:`SessionSummary` row every
+figure reads: mean power (the Monsoon number), mean FPS, mean cores,
+mean frequency and mean load.
 """
 
-from .power_meter import PowerMeter
-from .fps_meter import FpsMeter
-from .collectors import FrequencyCollector, CoreCountCollector, LoadCollector
 from .summary import SessionSummary, summarize
 
 __all__ = [
-    "PowerMeter",
-    "FpsMeter",
-    "FrequencyCollector",
-    "CoreCountCollector",
-    "LoadCollector",
     "SessionSummary",
     "summarize",
 ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..errors import MeterError
 from ..kernel.engine import SessionResult
 from ..kernel.trace_buffer import sequential_sum
@@ -84,11 +82,7 @@ def summarize(result: SessionResult) -> SessionSummary:
     replaced (see :func:`~repro.kernel.trace_buffer.sequential_sum`).
     """
     trace = result.trace
-    buffer = getattr(trace, "buffer", None)
-    if buffer is not None:
-        loads = buffer.scalar("global_util_percent", trace.warmup_ticks)
-    else:  # pragma: no cover - legacy record-based recorders
-        loads = np.asarray([r.global_util_percent for r in trace.measured])
+    loads = trace.buffer.scalar("global_util_percent", trace.warmup_ticks)
     count = len(loads)
     if count:
         mean_load = sequential_sum(loads) / count

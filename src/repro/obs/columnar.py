@@ -38,8 +38,8 @@ __all__ = [
     "columns_to_chrome_trace",
 ]
 
-#: The per-tick CSV layout — identical to the kernel recorder's export
-#: (a regression test pins the two byte for byte).
+#: The per-tick CSV layout, also the kernel recorder's
+#: :meth:`~repro.kernel.tracing.TraceRecorder.to_csv` export.
 TICK_CSV_COLUMNS = (
     "tick",
     "time_s",
@@ -90,10 +90,9 @@ def _columns(buffer: Any) -> Dict[str, np.ndarray]:
 def ticks_to_csv(buffer: Any) -> str:
     """Render a buffer's ticks as CSV text, streamed from the columns.
 
-    Byte-identical to
-    :meth:`~repro.kernel.tracing.TraceRecorder.to_csv` (including
-    warmup ticks) — pinned by a regression test so the two writers can
-    never drift apart.
+    The one writer of this layout, warmup ticks included:
+    :meth:`~repro.kernel.tracing.TraceRecorder.to_csv` delegates here,
+    and the legacy-recorder parity tests pin its bytes.
     """
     c = _columns(buffer)
     out = io.StringIO()

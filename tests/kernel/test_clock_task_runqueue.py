@@ -1,11 +1,10 @@
-"""Clock, task, and runqueue primitives."""
+"""Clock and task primitives."""
 
 import pytest
 
-from repro.errors import ConfigError, SchedulerError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.kernel.clock import SimClock
-from repro.kernel.runqueue import RunQueue
-from repro.kernel.task import Task, TaskDemand, WorkItem
+from repro.kernel.task import Task, TaskDemand
 
 
 class TestSimClock:
@@ -50,55 +49,3 @@ class TestTask:
         with pytest.raises(Exception):
             TaskDemand(Task(0, "x"), -1.0)
 
-    def test_work_item_total(self):
-        item = WorkItem(Task(0, "x"), cycles=100.0, from_backlog=50.0)
-        assert item.total_cycles == pytest.approx(150.0)
-
-
-class TestRunQueue:
-    def test_negative_core_rejected(self):
-        with pytest.raises(SchedulerError):
-            RunQueue(-1)
-
-    def test_assign_accumulates(self):
-        queue = RunQueue(0)
-        queue.assign(Task(0, "a"), 100.0)
-        queue.assign(Task(1, "b"), 50.0)
-        assert queue.assigned_cycles == pytest.approx(150.0)
-
-    def test_zero_assignment_ignored(self):
-        queue = RunQueue(0)
-        queue.assign(Task(0, "a"), 0.0)
-        assert queue.assignments == []
-
-    def test_execute_within_capacity(self):
-        queue = RunQueue(0)
-        queue.assign(Task(0, "a"), 100.0)
-        busy, executed, leftover = queue.execute(200.0)
-        assert busy == pytest.approx(100.0)
-        assert executed == {0: pytest.approx(100.0)}
-        assert leftover == {}
-
-    def test_execute_over_capacity_in_order(self):
-        queue = RunQueue(0)
-        queue.assign(Task(0, "first"), 80.0)
-        queue.assign(Task(1, "second"), 80.0)
-        busy, executed, leftover = queue.execute(100.0)
-        assert busy == pytest.approx(100.0)
-        assert executed[0] == pytest.approx(80.0)
-        assert executed[1] == pytest.approx(20.0)
-        assert leftover == {1: pytest.approx(60.0)}
-
-    def test_same_task_multiple_assignments_merge(self):
-        queue = RunQueue(0)
-        task = Task(0, "a")
-        queue.assign(task, 30.0)
-        queue.assign(task, 30.0)
-        _, executed, _ = queue.execute(100.0)
-        assert executed[0] == pytest.approx(60.0)
-
-    def test_clear(self):
-        queue = RunQueue(0)
-        queue.assign(Task(0, "a"), 10.0)
-        queue.clear()
-        assert queue.assigned_cycles == 0.0

@@ -3,30 +3,29 @@
 import pytest
 
 from repro.errors import MeterError
-from repro.kernel.procstat import ProcStat, TickUtilization
+from repro.kernel.procstat import ProcStat
 
 
 class TestTickUtilization:
     def test_global_averages_online_only(self):
-        snapshot = TickUtilization(
-            tick=0,
-            per_core_percent=(100.0, 50.0, 0.0, 0.0),
-            online_mask=(True, True, False, False),
-        )
-        assert snapshot.global_percent == pytest.approx(75.0)
-        assert snapshot.online_count == 2
+        stat = ProcStat()
+        stat.record(0, (100.0, 50.0, 0.0, 0.0), (True, True, False, False))
+        assert stat.per_core_percent == (100.0, 50.0, 0.0, 0.0)
+        assert stat.global_percent == pytest.approx(75.0)
 
     def test_all_offline_is_zero(self):
-        snapshot = TickUtilization(0, (0.0,), (False,))
-        assert snapshot.global_percent == 0.0
+        stat = ProcStat()
+        stat.record(0, (0.0,), (False,))
+        assert stat.global_percent == 0.0
 
 
 class TestProcStat:
     def test_record_and_latest(self):
         stat = ProcStat()
-        stat.record(0, [10.0, 20.0], [True, True])
-        assert stat.latest.global_percent == pytest.approx(15.0)
-        assert stat.previous is None
+        assert stat.record(0, [10.0, 20.0], [True, True]) == pytest.approx(15.0)
+        assert stat.tick == 0
+        assert stat.global_percent == pytest.approx(15.0)
+        assert stat.delta_global_percent() == 0.0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(MeterError):
@@ -48,27 +47,12 @@ class TestProcStat:
         stat.record(0, [20.0], [True])
         assert stat.delta_global_percent() == 0.0
 
-    def test_mean_over_window(self):
-        stat = ProcStat()
-        for tick, level in enumerate([10.0, 20.0, 30.0, 40.0]):
-            stat.record(tick, [level], [True])
-        assert stat.mean_global_percent() == pytest.approx(25.0)
-        assert stat.mean_global_percent(last_n=2) == pytest.approx(35.0)
-
-    def test_history_bounded(self):
-        stat = ProcStat(history_limit=4)
-        for tick in range(10):
-            stat.record(tick, [10.0], [True])
-        assert stat.latest.tick == 9
-        assert stat.mean_global_percent() == pytest.approx(10.0)
-
-    def test_tiny_history_rejected(self):
-        with pytest.raises(MeterError):
-            ProcStat(history_limit=1)
-
     def test_reset(self):
         stat = ProcStat()
         stat.record(0, [10.0], [True])
+        stat.record(1, [30.0], [True])
         stat.reset()
-        assert stat.latest is None
-        assert stat.mean_global_percent() == 0.0
+        assert stat.tick is None
+        assert stat.per_core_percent == ()
+        assert stat.global_percent == 0.0
+        assert stat.delta_global_percent() == 0.0

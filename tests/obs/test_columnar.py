@@ -40,7 +40,7 @@ def recorder():
 
 class TestCsv:
     def test_matches_recorder_export_byte_for_byte(self, recorder):
-        # The sync gate: two independent writers, one format.
+        # The recorder's export is this writer over the recorder's buffer.
         assert ticks_to_csv(recorder.buffer) == recorder.to_csv()
 
     def test_header_row(self, recorder):

@@ -5,9 +5,11 @@ The infrastructure packages (`repro.faults`, `repro.runner`,
 plus `repro.policies.energy_aware`), the columnar trace spine
 (`repro.kernel.trace_buffer`, `repro.obs.columnar`), the ops plane
 (`repro.obs.metrics_plane`), the batch engine
-(`repro.kernel.batch_engine`), and the tick-loop entry point with its
+(`repro.kernel.batch_engine`), the tick-loop entry point with its
 control planes (`repro.kernel.engine`, `repro.obs.bus`,
-`repro.kernel.android_shell`) promise complete docstrings —
+`repro.kernel.android_shell`) and the tick loop's own layers
+(`repro.kernel.scheduler`, `procstat`, `task`, `tracing`) promise
+complete docstrings —
 docs/API.md points readers at `help()` — so the gate is 100%, checked
 by `tools/docstring_coverage.py` in CI and here.
 """
@@ -65,6 +67,16 @@ class TestGatedPackages:
             "src/repro/kernel/engine.py",
             "src/repro/obs/bus.py",
             "src/repro/kernel/android_shell.py",
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "(100.0%)" in result.stdout
+
+    def test_tick_loop_layers_fully_documented(self):
+        result = run_tool(
+            "src/repro/kernel/scheduler.py",
+            "src/repro/kernel/procstat.py",
+            "src/repro/kernel/task.py",
+            "src/repro/kernel/tracing.py",
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "(100.0%)" in result.stdout

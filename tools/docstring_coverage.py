@@ -17,9 +17,11 @@ Exits non-zero when coverage over all named paths is below ``--min``
 actionable. CI runs this over ``repro/faults``, ``repro/runner``,
 ``repro/scenario``, ``repro/store``, ``repro/soc``, the trace spine, the
 ops plane, the batch engine (``repro/kernel/batch_engine.py``), the
-energy-aware policy, and the tick loop with its control planes
+energy-aware policy, the tick loop with its control planes
 (``repro/kernel/engine.py``, ``repro/obs/bus.py``,
-``repro/kernel/android_shell.py``).
+``repro/kernel/android_shell.py``) and its layers
+(``repro/kernel/scheduler.py``, ``procstat.py``, ``task.py``,
+``tracing.py``).
 """
 
 from __future__ import annotations
