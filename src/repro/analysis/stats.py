@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from ..errors import ExperimentError
 
 __all__ = ["TrialStats", "trial_statistics"]
@@ -60,7 +58,11 @@ class TrialStats:
 def trial_statistics(
     values: Sequence[float], confidence: float = 0.95
 ) -> TrialStats:
-    """Mean and Student-t confidence interval of repeated trials."""
+    """Mean and Student-t confidence interval of repeated trials.
+
+    Needs scipy (the ``test`` extra) for the t quantile; it is imported
+    here, not at module level, so the CLI runs on a numpy-only install.
+    """
     if not values:
         raise ExperimentError("trial_statistics needs at least one value")
     if not 0.0 < confidence < 1.0:
@@ -74,6 +76,8 @@ def trial_statistics(
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(variance)
     sem = std / math.sqrt(n)
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return TrialStats(
         mean=mean,

@@ -457,13 +457,24 @@ HETERO_CATALOG: Dict[str, Callable[[], PlatformSpec]] = {
 }
 
 
+#: Specs already built by :func:`get_phone_spec`, by catalog name.
+_RESOLVED: Dict[str, PlatformSpec] = {}
+
+
 def get_phone_spec(name: str) -> PlatformSpec:
-    """Look up a catalog phone by name; raise :class:`PlatformError` if unknown."""
-    factory = PHONE_CATALOG.get(name) or HETERO_CATALOG.get(name)
-    if factory is None:
-        known = ", ".join(sorted(PHONE_CATALOG) + sorted(HETERO_CATALOG))
-        raise PlatformError(f"unknown phone {name!r}; catalog has: {known}") from None
-    return factory()
+    """Look up a catalog phone by name; raise :class:`PlatformError` if unknown.
+
+    Each name is built once and the spec shared: a :class:`PlatformSpec`
+    is frozen all the way down to its OPP tables.
+    """
+    spec = _RESOLVED.get(name)
+    if spec is None:
+        factory = PHONE_CATALOG.get(name) or HETERO_CATALOG.get(name)
+        if factory is None:
+            known = ", ".join(sorted(PHONE_CATALOG) + sorted(HETERO_CATALOG))
+            raise PlatformError(f"unknown phone {name!r}; catalog has: {known}") from None
+        spec = _RESOLVED[name] = factory()
+    return spec
 
 
 def fleet_specs() -> List[PlatformSpec]:

@@ -31,6 +31,12 @@ class TestCatalog:
         with pytest.raises(PlatformError):
             get_phone_spec("iPhone")
 
+    def test_each_name_resolves_once(self):
+        for name in ("Nexus 5", "Galaxy S II", "Odroid-XU3"):
+            assert get_phone_spec(name) is get_phone_spec(name)
+        with pytest.raises(PlatformError):
+            get_phone_spec("iPhone")
+
     def test_fleet_sorted_by_year(self):
         years = [spec.release_year for spec in fleet_specs()]
         assert years == sorted(years)

@@ -54,6 +54,21 @@ class TestSubpackages:
         assert parser.prog == "repro"
         assert callable(main)
 
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """The CLI runs on a numpy-only install: scipy loads on demand."""
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        probe = "import sys, repro.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "False"
+
 
 class TestDocumentation:
     def test_every_public_module_has_docstring(self):
