@@ -64,8 +64,8 @@ def main() -> None:
     shell(tree, "cat /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
 
     print("# Final hardware state:")
-    print(f"  online mask: {platform.cluster.online_mask}")
-    print(f"  cpu0 frequency: {platform.cluster.core(0).frequency_khz} kHz")
+    print(f"  online mask: {platform.topology.online_mask}")
+    print(f"  cpu0 frequency: {platform.topology.core(0).frequency_khz} kHz")
     print(f"  quota: {session.stack.bandwidth.quota:.2f}")
 
 

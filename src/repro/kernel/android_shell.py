@@ -55,14 +55,14 @@ def build_sysfs(session: Session) -> SysfsTree:
     """Register the Android knob tree against *session*'s kernel stack."""
     tree = SysfsTree()
     platform = session.platform
-    cluster = platform.topology
+    topology = platform.topology
     cpufreq = session.stack.cpufreq
     hotplug = session.stack.hotplug
     bandwidth = session.stack.bandwidth
 
     def online_writer(core_id: int):
         def write(value: str) -> None:
-            mask = list(cluster.online_mask)
+            mask = topology.online_mask
             mask[core_id] = _parse_bool(value)
             hotplug.apply_mask(mask)
 
@@ -70,7 +70,7 @@ def build_sysfs(session: Session) -> SysfsTree:
 
     def setspeed_writer(core_id: int):
         def write(value: str) -> None:
-            targets = [None] * len(cluster)
+            targets = [None] * len(topology)
             targets[core_id] = float(value)
             cpufreq.apply(targets)
 
@@ -85,7 +85,7 @@ def build_sysfs(session: Session) -> SysfsTree:
 
         return write
 
-    for core in cluster.cores:
+    for core in topology.cores:
         base = f"sys/devices/system/cpu/cpu{core.core_id}"
         tree.register(
             f"{base}/online",
@@ -132,7 +132,7 @@ def build_sysfs(session: Session) -> SysfsTree:
     )
     tree.register(
         "proc/stat/global_util",
-        lambda: round(cluster.global_utilization_percent(), 1),
+        lambda: round(topology.global_utilization_percent(), 1),
     )
     if session.trace_bus is not None:
         register_tracing_knobs(tree, session.trace_bus)

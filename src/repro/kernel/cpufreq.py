@@ -16,11 +16,12 @@ the mechanism that applies them, enforcing (in order):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import GovernorError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
 from ..obs.events import FreqTransitionEvent
+from ..soc.cpu_cluster import CpuCluster
 from ..soc.platform import Platform
 
 __all__ = ["FrequencyLimits", "CpufreqSubsystem"]
@@ -37,24 +38,28 @@ class FrequencyLimits:
         if self.min_khz > self.max_khz:
             raise GovernorError(f"min_khz {self.min_khz} > max_khz {self.max_khz}")
 
-    def clamp(self, target_khz: float) -> float:
-        """Clamp a raw target into the window."""
-        return min(max(target_khz, self.min_khz), self.max_khz)
-
 
 class CpufreqSubsystem:
     """Applies frequency targets to a platform's cores each tick."""
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
+        topology = platform.topology
         # Each core's user window spans its own domain's ladder — on a
         # homogeneous platform that is the one global table.
         self._limits: List[FrequencyLimits] = [
-            FrequencyLimits(
-                core.opp_table.min_frequency_khz, core.opp_table.max_frequency_khz
-            )
-            for core in platform.topology.cores
+            FrequencyLimits(table.min_frequency_khz, table.max_frequency_khz)
+            for table in topology.opp_tables
         ]
+        # Per core, the exact-OPP lookup (an on-table target quantises to
+        # itself in either direction) and the ladder floor, built once.
+        self._exact = tuple({f: f for f in t.frequencies_khz} for t in topology.opp_tables)
+        self._fmin = tuple(t.min_frequency_khz for t in topology.opp_tables)
+        self._shared_rail_clusters: Tuple[CpuCluster, ...] = tuple(
+            cluster
+            for cluster in topology.clusters
+            if not platform.domain_allows_per_core_dvfs(cluster.cluster_id)
+        )
         self._transition_count = 0
         self._tp_transition = NULL_TRACEPOINT
 
@@ -103,60 +108,80 @@ class CpufreqSubsystem:
         domain's OPP table.  Returns the resulting per-core frequencies.
         """
         topology = self.platform.topology
-        if len(targets_khz) != len(topology):
+        frequencies = topology.frequency_khz
+        if len(targets_khz) != len(frequencies):
             raise GovernorError(
-                f"{len(targets_khz)} targets for {len(topology)} cores"
+                f"{len(targets_khz)} targets for {len(frequencies)} cores"
             )
         thermal_cap = self.platform.thermal.max_allowed_frequency_khz
-        for core, target in zip(topology.cores, targets_khz):
+        tables = topology.opp_tables
+        limits = self._limits
+        for core_id, target in enumerate(targets_khz):
             if target is None:
                 continue
-            table = core.opp_table
-            clamped = self._limits[core.core_id].clamp(target)
-            clamped = min(clamped, thermal_cap)
-            # The thermal cap may sit below a domain's entire ladder
-            # (e.g. a throttled big cluster); floor() would reject such a
-            # target, so clamp into the ladder before quantising.
-            clamped = max(clamped, table.min_frequency_khz)
-            opp = table.ceil(clamped) if round_up else table.floor(clamped)
-            frequency = min(opp.frequency_khz, thermal_cap)
-            if frequency not in table:
-                frequency = table.floor(max(frequency, table.min_frequency_khz)).frequency_khz
-            if frequency != core.frequency_khz:
+            # The clamps below are ``min``/``max`` spelled out, with the
+            # builtins' tie and NaN behaviour: into the user window, under
+            # the thermal cap, then up to the ladder's floor -- the cap may
+            # sit below a domain's entire ladder (e.g. a throttled big
+            # cluster), and floor() would reject such a target.
+            window = limits[core_id]
+            low = window.min_khz
+            clamped = low if low > target else target
+            high = window.max_khz
+            if high < clamped:
+                clamped = high
+            if thermal_cap < clamped:
+                clamped = thermal_cap
+            fmin = self._fmin[core_id]
+            if fmin > clamped:
+                clamped = fmin
+            frequency = self._exact[core_id].get(clamped)
+            if frequency is None:
+                table = tables[core_id]
+                opp = table.ceil(clamped) if round_up else table.floor(clamped)
+                frequency = opp.frequency_khz
+            if thermal_cap < frequency:
+                frequency = thermal_cap
+                table = tables[core_id]
+                if frequency not in table:
+                    frequency = table.floor(max(frequency, fmin)).frequency_khz
+            current = frequencies[core_id]
+            if frequency != current:
                 self._transition_count += 1
                 tp = self._tp_transition
                 if tp.enabled:
                     tp.emit(
-                        core=core.core_id,
-                        old_khz=core.frequency_khz,
+                        core=core_id,
+                        old_khz=current,
                         new_khz=frequency,
                         governor=tp.bus.ctx_governor,
                         reason=tp.bus.ctx_reason,
-                        cluster=topology.cluster_id_of(core.core_id),
+                        cluster=topology.cluster_ids[core_id],
                     )
-            core.set_frequency(frequency)
-        for cluster in topology.clusters:
-            if not self.platform.domain_allows_per_core_dvfs(cluster.cluster_id):
-                self._unify_shared_rail(cluster)
-        return [core.frequency_khz for core in topology.cores]
+                frequencies[core_id] = frequency
+        for cluster in self._shared_rail_clusters:
+            self._unify_shared_rail(cluster)
+        return list(frequencies)
 
-    def _unify_shared_rail(self, cluster) -> None:
+    def _unify_shared_rail(self, cluster: CpuCluster) -> None:
         """Force a domain's online cores to its fastest requested OPP (shared rail)."""
-        online = cluster.online_cores
+        topology = self.platform.topology
+        frequencies = topology.frequency_khz
+        online = [core_id for core_id in cluster.core_ids if topology.online[core_id]]
         if not online:
             return
-        fastest = max(core.frequency_khz for core in online)
-        for core in online:
-            if core.frequency_khz != fastest:
+        fastest = max(frequencies[core_id] for core_id in online)
+        for core_id in online:
+            if frequencies[core_id] != fastest:
                 self._transition_count += 1
                 tp = self._tp_transition
                 if tp.enabled:
                     tp.emit(
-                        core=core.core_id,
-                        old_khz=core.frequency_khz,
+                        core=core_id,
+                        old_khz=frequencies[core_id],
                         new_khz=fastest,
                         governor=tp.bus.ctx_governor,
                         reason="shared_rail_unify",
                         cluster=cluster.cluster_id,
                     )
-                core.set_frequency(fastest)
+                frequencies[core_id] = fastest

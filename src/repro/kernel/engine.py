@@ -259,6 +259,7 @@ class Session:
         self._clock = SimClock(self.config.tick_seconds)
         self._trace: Optional[TraceRecorder] = None
         self._tick = 0
+        self._total_ticks = self.config.total_ticks
 
     # -- lifecycle -------------------------------------------------------
 
@@ -275,10 +276,14 @@ class Session:
     @property
     def finished(self) -> bool:
         """True when the configured duration has fully elapsed."""
-        return self.started and self._tick >= self.config.total_ticks
+        return self.started and self._tick >= self._total_ticks
 
     def start(self) -> None:
-        """Reset everything and arm the session at tick zero."""
+        """Reset everything and arm the session at tick zero.
+
+        Also builds the per-session constants the observation carries
+        (per-domain OPP tables, the rail layout).
+        """
         # A fresh residency ledger per session: results returned by earlier
         # runs keep their cpuidle statistics instead of aliasing this run's.
         self.stack.cpuidle = CpuidleStats(len(self.platform.topology))
@@ -298,19 +303,23 @@ class Session:
         self.stack.reset(pin_uncore_max=self.pin_uncore_max)
         self.scheduler.reset()
         self.policy.reset()
+        topology = self.platform.topology
         context = WorkloadContext(
-            num_cores=len(self.platform.topology),
+            num_cores=len(topology),
             opp_table=self.platform.opp_table,
             dt_seconds=self.config.tick_seconds,
             seed=self.config.seed,
         )
         self.workload.prepare(context)
         self._clock = SimClock(self.config.tick_seconds)
+        self._total_ticks = self.config.total_ticks
+        self._cluster_opp_tables = tuple(c.opp_table for c in topology.clusters)
+        self._allows_per_core_dvfs = self.platform.allows_per_core_dvfs
         # Columnar recorder sized to the session: one allocation, no growth.
         self._trace = TraceRecorder(
             warmup_ticks=self.config.warmup_ticks,
-            num_cores=len(self.platform.topology),
-            expected_ticks=self.config.total_ticks,
+            num_cores=len(topology),
+            expected_ticks=self._total_ticks,
         )
         self._tick = 0
 
@@ -327,88 +336,103 @@ class Session:
         return self._trace.latest()
 
     def _step_core(self) -> None:
-        """Execute one tick, recording columns only (no record objects)."""
-        if not self.started:
+        """Execute one tick, recording columns only (no record objects).
+
+        Per-core state is read from and written to the topology's lists;
+        nothing built here is constant over the session.
+        """
+        if self._trace is None:
             self.start()
-        if self.finished:
+        tick = self._tick
+        if tick >= self._total_ticks:
             raise ExperimentError(
-                f"session already ran its {self.config.total_ticks} ticks; "
+                f"session already ran its {self._total_ticks} ticks; "
                 f"call start() to begin a new one"
             )
         stack = self.stack
         platform = self.platform
-        cluster = platform.topology
+        topology = platform.topology
+        workload = self.workload
+        policy = self.policy
         dt = self.config.tick_seconds
-        tick = self._tick
+        now = self._clock.now_seconds
 
         bus = self.trace_bus
         if bus is not None:
-            bus.set_time_us(int(round(self._clock.now_seconds * 1_000_000)))
+            bus.set_time_us(int(round(now * 1_000_000)))
 
         if self._injector is not None:
             # Faults fire on the simulated clock, before demand is placed,
             # so a window's first tick already runs under the fault.
-            self._injector.on_tick(self._clock.now_seconds)
+            self._injector.on_tick(now)
 
-        demands = self.workload.demand(tick)
-        dispatch = self.scheduler.dispatch(
-            demands, cluster, dt, quota=stack.bandwidth.quota
-        )
-        for core in cluster.cores:
-            if core.is_online:
-                core.account(min(dispatch.busy_fractions[core.core_id], 1.0))
-        self.workload.record_execution(tick, dispatch.executed_by_task)
+        demands = workload.demand(tick)
+        quota = stack.bandwidth.quota
+        dispatch = self.scheduler.dispatch(demands, topology, dt, quota=quota)
+        fractions = dispatch.busy_fractions
+        online = topology.online
+        busy = topology.busy
+        active = topology.active
+        frequencies = topology.frequency_khz
+        fmax = topology.max_frequencies_khz
+        # Per core, the /proc/stat percent ``min(100.0, 100.0 * f)``; per
+        # online core, the busy fraction capped at 1 (``min(f, 1.0)``) and
+        # its load normalised to the core's own domain's fmax — on a
+        # homogeneous platform that is the one global fmax, same number.
+        percents = []
+        scaled_terms = []
+        for core_id, fraction in enumerate(fractions):
+            percent = 100.0 * fraction
+            percents.append(percent if percent < 100.0 else 100.0)
+            if online[core_id]:
+                if fraction > 1.0:
+                    fraction = 1.0
+                busy[core_id] = fraction
+                active[core_id] = fraction > 0.0
+                scaled_terms.append(fraction * frequencies[core_id] / fmax[core_id])
+        workload.record_execution(tick, dispatch.executed_by_task)
 
         procstat = stack.procstat
-        global_percent = procstat.record(
-            tick,
-            [min(100.0, 100.0 * f) for f in dispatch.busy_fractions],
-            cluster.online_mask,
-        )
-        stack.cpuidle.record(cluster, dt)
+        global_percent = procstat.record(tick, percents, online)
+        stack.cpuidle.record(topology, dt)
 
         breakdown = platform.power_breakdown()
-        temperature = platform.thermal.step(breakdown.cpu_mw, dt)
-        # Each core normalises against its own domain's fmax — on a
-        # homogeneous platform that is the one global fmax, same number.
-        scaled_load = (
-            100.0
-            * sum(
-                c.busy_fraction * c.frequency_khz / c.max_frequency_khz
-                for c in cluster.online_cores
-            )
-            / len(cluster)
-        )
+        cpu_mw = breakdown.cpu_mw
+        # ``PowerBreakdown.total_mw``, without evaluating cpu_mw twice.
+        total_mw = cpu_mw + breakdown.base_mw + breakdown.uncore_mw
+        temperature = platform.thermal.step(cpu_mw, dt)
+        scaled_load = 100.0 * sum(scaled_terms) / len(online)
+        backlog = dispatch.total_backlog
         # Columns go straight into the trace buffer; the buffer copies
         # the per-core sequences into its staging lists before returning,
-        # so the cluster/dispatch scratch state can never alias recorded
+        # so the topology/dispatch scratch state can never alias recorded
         # history.
         self._trace.record_tick(
             tick,
-            self._clock.now_seconds,
-            cluster.frequencies_khz,
-            cluster.online_mask,
-            dispatch.busy_fractions,
+            now,
+            frequencies,
+            online,
+            fractions,
             global_percent,
-            stack.bandwidth.quota,
-            breakdown.total_mw,
-            breakdown.cpu_mw,
+            quota,
+            total_mw,
+            cpu_mw,
             temperature,
-            dispatch.total_backlog,
+            backlog,
             dispatch.dropped_cycles,
-            self.workload.tick_fps(),
+            workload.tick_fps(),
             scaled_load,
         )
 
         tp = self._tp_counters
         if tp.enabled:
             tp.emit(
-                power_mw=breakdown.total_mw,
-                cpu_power_mw=breakdown.cpu_mw,
+                power_mw=total_mw,
+                cpu_power_mw=cpu_mw,
                 util_percent=global_percent,
                 scaled_load_percent=scaled_load,
-                quota=stack.bandwidth.quota,
-                online_cores=sum(cluster.online_mask),
+                quota=quota,
+                online_cores=sum(online),
                 temperature_c=temperature,
             )
 
@@ -418,35 +442,34 @@ class Session:
             per_core_load_percent=procstat.per_core_percent,
             global_util_percent=global_percent,
             delta_util_percent=procstat.delta_global_percent(),
-            frequencies_khz=tuple(cluster.frequencies_khz),
-            online_mask=tuple(cluster.online_mask),
-            quota=stack.bandwidth.quota,
-            opp_table=platform.opp_table,
-            backlog_cycles=dispatch.total_backlog,
-            allows_per_core_dvfs=platform.allows_per_core_dvfs,
-            cluster_ids=cluster.cluster_ids,
-            cluster_opp_tables=tuple(c.opp_table for c in cluster.clusters),
+            frequencies_khz=tuple(frequencies),
+            online_mask=tuple(online),
+            quota=quota,
+            opp_table=platform.spec.opp_table,
+            backlog_cycles=backlog,
+            allows_per_core_dvfs=self._allows_per_core_dvfs,
+            cluster_ids=topology.cluster_ids,
+            cluster_opp_tables=self._cluster_opp_tables,
+            max_frequencies_khz=fmax,
         )
         if self._injector is not None:
             # Sensor dropout blinds only the policy: accounting above has
             # already recorded the true utilization.
             observation = self._injector.filter_observation(observation)
-        decision = self.policy.validate_decision(
-            self.policy.decide(observation), observation
-        )
+        decision = policy.validate_decision(policy.decide(observation), observation)
         if bus is not None:
             # Stamp decision context with what the policy actually saw —
             # identical to the accounting value except under an injected
             # sensor dropout, where the divergence is the point.
             bus.set_decision_context(
                 util_percent=observation.global_util_percent,
-                governor=self.policy.name,
+                governor=policy.name,
                 reason=decision.reason,
             )
             tp = self._tp_decision
             if tp.enabled:
                 tp.emit(
-                    policy=self.policy.name,
+                    policy=policy.name,
                     reason=decision.reason,
                     util_percent=observation.global_util_percent,
                     quota=decision.quota,
@@ -459,7 +482,7 @@ class Session:
                 )
         stack.apply(decision)
         self._clock.advance()
-        self._tick += 1
+        self._tick = tick + 1
 
     @property
     def fault_firings(self) -> Dict[str, int]:
@@ -477,7 +500,7 @@ class Session:
         with span("execute"):
             self.start()
             step_core = self._step_core
-            while not self.finished:
+            for _ in range(self._total_ticks):
                 step_core()
         return self.result()
 

@@ -5,19 +5,18 @@ or less hardware components ... mpdecision is a service which protects
 the phone from turning off cores.  In order to be able to activate that
 feature, we need to inactivate the mpdecision service."
 
-This module is the *mechanism*: it applies online masks to the cluster,
-enforces the veto while mpdecision is enabled, and accounts transition
-latency and churn.  Hotplug *drivers* (the decision logic) live in
+This module is the *mechanism*: it applies online masks to the
+topology, enforces the veto while mpdecision is enabled, and accounts
+transition latency and churn.  Hotplug *drivers* (the decision logic) live in
 :mod:`repro.policies`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 from ..errors import HotplugError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
-from ..soc.cpu_cluster import CpuCluster
 from ..soc.topology import CpuTopology
 from ..obs.events import HotplugEvent, HotplugFailureEvent, MpdecisionVetoEvent
 
@@ -25,20 +24,14 @@ __all__ = ["HotplugSubsystem"]
 
 
 class HotplugSubsystem:
-    """Applies online-mask requests to a core set, honouring mpdecision.
+    """Applies online-mask requests to a topology, honouring mpdecision.
 
-    Operates on either a standalone :class:`CpuCluster` or a whole
-    :class:`CpuTopology` — both expose the same mask interface over
-    global core ids, so heterogeneous devices hotplug through the exact
-    code path homogeneous ones do.
+    Masks are over global core ids, so heterogeneous devices hotplug
+    through the exact code path homogeneous ones do.
     """
 
-    def __init__(
-        self,
-        cluster: Union[CpuCluster, CpuTopology],
-        mpdecision_enabled: bool = True,
-    ) -> None:
-        self.cluster = cluster
+    def __init__(self, topology: CpuTopology, mpdecision_enabled: bool = True) -> None:
+        self.topology = topology
         self._mpdecision_enabled = mpdecision_enabled
         self._failing_requests = False
         self._failed_requests = 0
@@ -65,16 +58,11 @@ class HotplugSubsystem:
         """Enable or disable mpdecision (the paper disables it via adb shell)."""
         self._mpdecision_enabled = enabled
 
-    @property
-    def failing_requests(self) -> bool:
-        """True while injected hotplug failure drops every mask request."""
-        return self._failing_requests
-
     def set_request_failure(self, failing: bool) -> None:
         """Arm or disarm injected hotplug failure (the chaos hook).
 
         While armed, :meth:`apply_mask` discards requests wholesale and
-        the cluster keeps its current state — a wedged hotplug notifier
+        the topology keeps its current state — a wedged hotplug notifier
         chain, not an error: callers see the unchanged effective mask.
         """
         self._failing_requests = bool(failing)
@@ -96,8 +84,8 @@ class HotplugSubsystem:
 
     @property
     def transition_count(self) -> int:
-        """Total core state transitions performed on the cluster."""
-        return sum(core.transition_count for core in self.cluster.cores)
+        """Total core state transitions performed on the topology."""
+        return sum(self.topology.transitions)
 
     def apply_mask(self, mask: Sequence[bool]) -> List[bool]:
         """Request an online mask; returns the mask actually in effect.
@@ -105,57 +93,58 @@ class HotplugSubsystem:
         While mpdecision is enabled, offline requests are vetoed: cores
         currently online stay online (onlining more is always allowed).
         """
-        if len(mask) != len(self.cluster):
+        topology = self.topology
+        online = topology.online
+        if len(mask) != len(online):
             raise HotplugError(
-                f"mask has {len(mask)} entries for {len(self.cluster)} cores"
+                f"mask has {len(mask)} entries for {len(online)} cores"
             )
         if self._failing_requests:
-            current = self.cluster.online_mask
-            changes = sum(1 for want, have in zip(mask, current) if want != have)
+            changes = sum(1 for want, have in zip(mask, online) if want != have)
             if changes:
                 self._failed_requests += 1
                 tp = self._tp_failed
                 if tp.enabled:
                     tp.emit(requested_changes=changes)
-            return list(current)
+            return list(online)
         effective = list(mask)
         if self._mpdecision_enabled:
-            for core in self.cluster.cores:
-                if core.is_online and not effective[core.core_id]:
-                    effective[core.core_id] = True
+            for core_id, on in enumerate(online):
+                if on and not effective[core_id]:
+                    effective[core_id] = True
                     self._vetoed_offline_requests += 1
                     tp = self._tp_veto
                     if tp.enabled:
-                        tp.emit(core=core.core_id)
-        before = self.cluster.online_mask
-        self._transition_latency_seconds += self.cluster.set_online_mask(effective)
-        after = self.cluster.online_mask
-        tp = self._tp_state
-        if tp.enabled:
-            for core_id, (was, now) in enumerate(zip(before, after)):
-                if was != now:
-                    tp.emit(
-                        core=core_id,
-                        online=now,
-                        util_percent=tp.bus.ctx_util_percent,
-                        cluster=self.cluster.cluster_id_of(core_id),
-                    )
-        return after
+                        tp.emit(core=core_id)
+        if effective != online:
+            tp = self._tp_state
+            before = list(online)
+            self._transition_latency_seconds += topology.set_online_mask(effective)
+            if tp.enabled:
+                for core_id, (was, now) in enumerate(zip(before, online)):
+                    if was != now:
+                        tp.emit(
+                            core=core_id,
+                            online=now,
+                            util_percent=tp.bus.ctx_util_percent,
+                            cluster=topology.cluster_ids[core_id],
+                        )
+        return list(online)
 
     def apply_count(self, count: int) -> List[bool]:
         """Request exactly *count* online cores (lowest ids first)."""
-        if not 1 <= count <= len(self.cluster):
+        if not 1 <= count <= len(self.topology):
             raise HotplugError(
-                f"online count must be in 1..{len(self.cluster)}, got {count}"
+                f"online count must be in 1..{len(self.topology)}, got {count}"
             )
-        mask = [i < count for i in range(len(self.cluster))]
+        mask = [i < count for i in range(len(self.topology))]
         return self.apply_mask(mask)
 
     def reset(self) -> None:
         """Zero accounting, including per-core transition counters.
 
-        Cluster *state* (online mask, frequencies) is reset separately via
-        :meth:`~repro.soc.cpu_cluster.CpuCluster.reset`; call that first so
+        Topology *state* (online mask, frequencies) is reset separately via
+        :meth:`~repro.soc.topology.CpuTopology.reset`; call that first so
         the boot-state transitions it performs are not counted against the
         new session.
         """
@@ -163,5 +152,5 @@ class HotplugSubsystem:
         self._vetoed_offline_requests = 0
         self._failing_requests = False
         self._failed_requests = 0
-        for core in self.cluster.cores:
-            core.reset_transition_count()
+        transitions = self.topology.transitions
+        transitions[:] = [0] * len(transitions)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from ..errors import MeterError
-from ..units import require_percent
+from ..errors import MeterError, UnitsError
 
 __all__ = ["ProcStat"]
 
@@ -40,8 +39,12 @@ class ProcStat:
             raise MeterError(
                 f"{len(per_core_percent)} utilizations for {len(online_mask)} online flags"
             )
-        for value in per_core_percent:
-            require_percent(value, "per-core utilization")
+        if per_core_percent and not (
+            0.0 <= min(per_core_percent) and max(per_core_percent) <= 100.0
+        ):
+            raise UnitsError(
+                f"per-core utilization must lie in [0, 100], got {list(per_core_percent)!r}"
+            )
         online = [u for u, on in zip(per_core_percent, online_mask) if on]
         if self.tick is not None:
             self._previous_global_percent = self.global_percent

@@ -19,13 +19,12 @@ greedy balancer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .task import Task, TaskDemand
 from ..errors import SchedulerError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
 from ..obs.events import SchedMigrationEvent
-from ..soc.cpu_cluster import CpuCluster
 from ..soc.topology import CpuTopology
 from ..units import require_fraction, require_positive
 
@@ -90,11 +89,6 @@ class LoadBalancingScheduler:
         )
 
     @property
-    def backlog(self) -> Dict[int, float]:
-        """Pending cycles per task id."""
-        return {task_id: cycles for task_id, (_, cycles) in self._backlog.items()}
-
-    @property
     def total_backlog_cycles(self) -> float:
         """All pending cycles."""
         return sum(cycles for _, cycles in self._backlog.values())
@@ -107,25 +101,27 @@ class LoadBalancingScheduler:
     def dispatch(
         self,
         demands: Sequence[TaskDemand],
-        cluster: Union[CpuCluster, CpuTopology],
+        topology: CpuTopology,
         dt_seconds: float,
         quota: float = 1.0,
     ) -> DispatchResult:
         """Distribute this tick's demand (plus backlog) and execute it.
 
-        Accepts a standalone cluster or a whole topology: placement runs
-        over global core ids and capacities.  On a heterogeneous
-        topology a big core advertises more remaining (IPC-scaled)
-        capacity than a little core at the same frequency, so the
-        greedy balancer naturally prefers big cores for heavy serial
-        tasks and migrates tasks across clusters as capacities shift.
+        Placement runs over the topology's per-core lists, by global
+        core id.  On a heterogeneous topology a big core advertises
+        more remaining (IPC-scaled) capacity than a little core at the
+        same frequency, so the greedy balancer naturally prefers big
+        cores for heavy serial tasks and migrates tasks across clusters
+        as capacities shift.
 
         Every float is computed in a fixed order (docs/NUMERICS.md): the
         golden session files pin the executed work bit for bit.
         """
         require_positive(dt_seconds, "dt_seconds")
         require_fraction(quota, "quota")
-        online = cluster.online_cores
+        frequency = topology.frequency_khz
+        ipc_scales = topology.ipc_scales
+        online = [core_id for core_id, on in enumerate(topology.online) if on]
         if not online:
             raise SchedulerError("cannot dispatch with no online cores")
 
@@ -149,7 +145,12 @@ class LoadBalancingScheduler:
         # Per online core, by position in *online*: capacity under the
         # quota, what is still free of it, and the (task id, cycles)
         # assignments in the order they were made.
-        capacities = [core.capacity_cycles(dt_seconds, quota) for core in online]
+        # ``f * 1000.0 * dt`` leads both the capacity under the quota and
+        # the unthrottled capacity below.
+        cycles_at_f = [frequency[core_id] * 1000.0 * dt_seconds for core_id in online]
+        capacities = [
+            base * quota * ipc_scales[core_id] for base, core_id in zip(cycles_at_f, online)
+        ]
         remaining = list(capacities)
         assigned: List[List[Tuple[int, float]]] = [[] for _ in online]
 
@@ -157,20 +158,24 @@ class LoadBalancingScheduler:
         # (the first one on ties): a thread is bound to one core per tick.
         serial = [task_id for task_id in totals if not tasks[task_id].parallel]
         parallel = [task_id for task_id in totals if tasks[task_id].parallel]
+        # ``max(0.0, x)`` and ``min(a, b)`` are spelled out below as
+        # conditionals with the builtins' exact tie and NaN behaviour.
         serial.sort(key=totals.__getitem__, reverse=True)
+        last_core = self._last_core
         for task_id in serial:
             cycles = totals[task_id]
             slot = remaining.index(max(remaining))
             if cycles > 0:
                 assigned[slot].append((task_id, cycles))
-            remaining[slot] = max(0.0, remaining[slot] - cycles)
-            target = online[slot].core_id
-            previous = self._last_core.get(task_id)
+            left = remaining[slot] - cycles
+            remaining[slot] = left if left > 0.0 else 0.0
+            target = online[slot]
+            previous = last_core.get(task_id)
             if previous is not None and previous != target:
                 tp = self._tp_migration
                 if tp.enabled:
                     tp.emit(task_id=task_id, from_core=previous, to_core=target)
-            self._last_core[task_id] = target
+            last_core[task_id] = target
 
         # Parallel work divides over whatever capacity is left (water
         # fill); with none left, the whole item queues on the emptiest
@@ -183,19 +188,20 @@ class LoadBalancingScheduler:
                     share = cycles * free / total_free
                     if share > 0:
                         assigned[slot].append((task_id, share))
-                        remaining[slot] = max(0.0, free - share)
+                        left = free - share
+                        remaining[slot] = left if left > 0.0 else 0.0
             elif cycles > 0:
                 assigned[remaining.index(max(remaining))].append((task_id, cycles))
 
         # Each core runs its assignments in order; old work drains first.
-        busy_cycles = [0.0] * len(cluster)
-        busy_fractions = [0.0] * len(cluster)
+        busy_cycles = [0.0] * len(frequency)
+        busy_fractions = [0.0] * len(frequency)
         executed: Dict[int, float] = {}
         leftover: Dict[int, float] = {}
-        for core, capacity, queue in zip(online, capacities, assigned):
+        for core_id, base, capacity, queue in zip(online, cycles_at_f, capacities, assigned):
             free = capacity
             for task_id, cycles in queue:
-                ran = min(cycles, free)
+                ran = free if free < cycles else cycles
                 free -= ran
                 if ran > 0:
                     executed[task_id] = executed.get(task_id, 0.0) + ran
@@ -203,24 +209,28 @@ class LoadBalancingScheduler:
                 if rest > 0:
                     leftover[task_id] = leftover.get(task_id, 0.0) + rest
             busy = capacity - free
-            busy_cycles[core.core_id] = busy
-            full_capacity = core.capacity_cycles(dt_seconds, 1.0)
-            busy_fractions[core.core_id] = busy / full_capacity if full_capacity else 0.0
+            busy_cycles[core_id] = busy
+            # The unthrottled capacity (quota 1.0; ``x * 1.0`` is exact).
+            full_capacity = base * ipc_scales[core_id]
+            busy_fractions[core_id] = busy / full_capacity if full_capacity else 0.0
 
         # Leftovers become next tick's backlog, capped at backlog_cap_ticks
         # of the fastest domain's fmax; the excess is dropped.
-        cap = cluster.max_frequency_khz * 1000.0 * dt_seconds * self.backlog_cap_ticks
+        cap = topology.max_frequency_khz * 1000.0 * dt_seconds * self.backlog_cap_ticks
         dropped = 0.0
-        self._backlog = {}
+        backlog: Dict[int, Tuple[Task, float]] = {}
+        backlog_by_task: Dict[int, float] = {}
         for task_id, cycles in leftover.items():
-            kept = min(cycles, cap)
+            kept = cap if cap < cycles else cycles
             dropped += cycles - kept
             if kept > 0:
-                self._backlog[task_id] = (tasks[task_id], kept)
+                backlog[task_id] = (tasks[task_id], kept)
+                backlog_by_task[task_id] = kept
+        self._backlog = backlog
         return DispatchResult(
             busy_cycles=busy_cycles,
             busy_fractions=busy_fractions,
             executed_by_task=executed,
-            backlog_by_task=self.backlog,
+            backlog_by_task=backlog_by_task,
             dropped_cycles=dropped,
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..soc.opp import OppTable
@@ -44,6 +44,9 @@ class SystemObservation:
             homogeneous domain (every core in cluster 0).
         cluster_opp_tables: DVFS table per frequency domain, indexed by
             cluster id; empty means every core shares ``opp_table``.
+        max_frequencies_khz: Each core's own fmax (a per-session
+            constant); empty means look it up through
+            :meth:`opp_table_of`.
     """
 
     tick: int
@@ -59,6 +62,7 @@ class SystemObservation:
     allows_per_core_dvfs: bool = True
     cluster_ids: Sequence[int] = ()
     cluster_opp_tables: Sequence[OppTable] = ()
+    max_frequencies_khz: Sequence[int] = ()
 
     @property
     def num_cores(self) -> int:
@@ -67,8 +71,11 @@ class SystemObservation:
 
     @property
     def online_count(self) -> int:
-        """Cores currently online."""
-        return sum(1 for on in self.online_mask if on)
+        """Cores currently online (counted once per observation)."""
+        cached = self.__dict__.get("_online_count")
+        if cached is None:
+            cached = self.__dict__["_online_count"] = sum(1 for on in self.online_mask if on)
+        return cached
 
     def cluster_of(self, core_id: int) -> int:
         """The frequency-domain index of one core (0 when homogeneous)."""
@@ -85,7 +92,7 @@ class SystemObservation:
         """
         if not self.cluster_opp_tables:
             return self.opp_table
-        return self.cluster_opp_tables[self.cluster_of(core_id)]
+        return self.cluster_opp_tables[self.cluster_ids[core_id] if self.cluster_ids else 0]
 
     def scaled_load_percent(self, core_id: int) -> float:
         """One core's load normalised to its own fmax capacity.
@@ -96,21 +103,28 @@ class SystemObservation:
         domain's ceiling, which on homogeneous platforms is the one
         global table's.
         """
-        fmax = self.opp_table_of(core_id).max_frequency_khz
+        if self.max_frequencies_khz:
+            fmax = self.max_frequencies_khz[core_id]
+        else:
+            fmax = self.opp_table_of(core_id).max_frequency_khz
         return (
             self.per_core_load_percent[core_id]
             * self.frequencies_khz[core_id]
             / fmax
         )
 
+    def _online_scaled_loads(self) -> List[float]:
+        """:meth:`scaled_load_percent` of every online core, in core order."""
+        return [
+            self.scaled_load_percent(core_id)
+            for core_id, online in enumerate(self.online_mask)
+            if online
+        ]
+
     @property
     def global_scaled_load_percent(self) -> float:
         """Average fmax-normalised load over online cores."""
-        online = [
-            self.scaled_load_percent(core_id)
-            for core_id in range(self.num_cores)
-            if self.online_mask[core_id]
-        ]
+        online = self._online_scaled_loads()
         if not online:
             return 0.0
         return sum(online) / len(online)
@@ -119,13 +133,14 @@ class SystemObservation:
     def total_scaled_load_percent(self) -> float:
         """Sum of fmax-normalised loads: 100 per fully-busy fmax core.
 
-        The demand measure hotplug drivers size the core count with.
+        The demand measure hotplug drivers size the core count with;
+        summed once per observation (the dataclass is frozen, so the
+        cached sum cannot go stale).
         """
-        return sum(
-            self.scaled_load_percent(core_id)
-            for core_id in range(self.num_cores)
-            if self.online_mask[core_id]
-        )
+        cached = self.__dict__.get("_total_scaled_load")
+        if cached is None:
+            cached = self.__dict__["_total_scaled_load"] = sum(self._online_scaled_loads())
+        return cached
 
 
 @dataclass(frozen=True)
@@ -155,11 +170,6 @@ class PolicyDecision:
     memory_high: Optional[bool] = None
     gpu_pinned_max: Optional[bool] = None
     reason: Optional[str] = None
-
-    @staticmethod
-    def no_change() -> "PolicyDecision":
-        """A decision that leaves everything as is."""
-        return PolicyDecision()
 
 
 class CpuPolicy(abc.ABC):

@@ -1,17 +1,25 @@
-"""A single CPU core: state machine plus per-tick busy accounting.
+"""A single CPU core: a live view of one slot in its topology's lists.
 
-A core owns its power state (section 2.1), its current OPP, and the busy
-fraction it recorded during the last tick.  Per-core DVFS is legal on the
-Nexus 5 because each core has an independent supply (section 4.1.2), so
-frequency lives here rather than on the cluster.
+A core has a power state (section 2.1), a current OPP, and the busy
+fraction it recorded during the last tick.  Per-core DVFS is legal on
+the Nexus 5 because each core has an independent supply (section
+4.1.2), so every core has its own frequency.  That state lives in the
+per-core lists of a :class:`~repro.soc.topology.CpuTopology`, the one
+place the tick loop reads and writes it; a :class:`CpuCore` reads those
+lists and its setters validate, then write through to them.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
 
 from .core_state import CoreState, require_transition
 from .opp import Opp, OppTable
 from ..errors import CoreStateError, OppError
 from ..units import require_fraction
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .topology import CpuTopology
 
 __all__ = ["CpuCore"]
 
@@ -19,7 +27,7 @@ __all__ = ["CpuCore"]
 class CpuCore:
     """One CPU core with independent DVFS and hotplug state.
 
-    Attributes:
+    Args:
         core_id: Stable 0-based *global* identifier (numbered across all
             clusters of the topology); core 0 is the boot core and can
             never be offlined (Linux invariant).
@@ -27,9 +35,20 @@ class CpuCore:
         ipc_scale: Work retired per cycle relative to the reference core
             type — 1.0 for a big/homogeneous core, < 1.0 for a little
             in-order core.  Scales :meth:`capacity_cycles`.
+        topology: The topology whose lists hold this core's state, at
+            index *core_id*.  A core built without one gets a one-core
+            topology of its own.
     """
 
-    def __init__(self, core_id: int, opp_table: OppTable, ipc_scale: float = 1.0) -> None:
+    __slots__ = ("core_id", "opp_table", "ipc_scale", "_topology", "_index")
+
+    def __init__(
+        self,
+        core_id: int,
+        opp_table: OppTable,
+        ipc_scale: float = 1.0,
+        topology: Optional["CpuTopology"] = None,
+    ) -> None:
         if core_id < 0:
             raise CoreStateError(f"core_id must be non-negative, got {core_id}")
         if ipc_scale <= 0.0:
@@ -37,15 +56,21 @@ class CpuCore:
         self.core_id = core_id
         self.opp_table = opp_table
         self.ipc_scale = ipc_scale
-        self._state = CoreState.IDLE
-        self._frequency_khz = opp_table.min_frequency_khz
-        self._busy_fraction = 0.0
-        self._transition_count = 0
+        if topology is None:
+            from .power_model import PowerParams
+            from .topology import ClusterSpec, CpuTopology
+
+            domain = ClusterSpec("cpu", "", 1, opp_table, PowerParams(0.0, 0.0, 0.0), ipc_scale)
+            topology = CpuTopology((domain,))
+            self._index = 0
+        else:
+            self._index = core_id
+        self._topology = topology
 
     def __repr__(self) -> str:
         return (
-            f"CpuCore(id={self.core_id}, state={self._state.value}, "
-            f"freq={self._frequency_khz} kHz, busy={self._busy_fraction:.2f})"
+            f"CpuCore(id={self.core_id}, state={self.state.value}, "
+            f"freq={self.frequency_khz} kHz, busy={self.busy_fraction:.2f})"
         )
 
     # -- state ---------------------------------------------------------
@@ -53,21 +78,20 @@ class CpuCore:
     @property
     def state(self) -> CoreState:
         """Current power state."""
-        return self._state
+        topology, index = self._topology, self._index
+        if not topology.online[index]:
+            return CoreState.OFFLINE
+        return CoreState.ACTIVE if topology.active[index] else CoreState.IDLE
 
     @property
     def is_online(self) -> bool:
         """True when the scheduler may place work here."""
-        return self._state.is_online
+        return self._topology.online[self._index]
 
     @property
     def transition_count(self) -> int:
         """Number of distinct-state transitions performed (hotplug churn metric)."""
-        return self._transition_count
-
-    def reset_transition_count(self) -> None:
-        """Zero the churn counter (new session accounting epoch)."""
-        self._transition_count = 0
+        return self._topology.transitions[self._index]
 
     def set_state(self, new_state: CoreState) -> float:
         """Transition to *new_state*, returning the transition latency in seconds.
@@ -77,12 +101,15 @@ class CpuCore:
         """
         if new_state is CoreState.OFFLINE and self.core_id == 0:
             raise CoreStateError("core 0 is the boot core and cannot be offlined")
-        latency = require_transition(self._state, new_state)
-        if new_state is not self._state:
-            self._transition_count += 1
-        self._state = new_state
+        current = self.state
+        latency = require_transition(current, new_state)
+        topology, index = self._topology, self._index
+        if new_state is not current:
+            topology.transitions[index] += 1
+        topology.online[index] = new_state is not CoreState.OFFLINE
+        topology.active[index] = new_state is CoreState.ACTIVE
         if new_state is CoreState.OFFLINE:
-            self._busy_fraction = 0.0
+            topology.busy[index] = 0.0
         return latency
 
     # -- frequency -----------------------------------------------------
@@ -90,7 +117,7 @@ class CpuCore:
     @property
     def frequency_khz(self) -> int:
         """Current OPP frequency in kHz."""
-        return self._frequency_khz
+        return self._topology.frequency_khz[self._index]
 
     @property
     def max_frequency_khz(self) -> int:
@@ -100,7 +127,7 @@ class CpuCore:
     @property
     def opp(self) -> Opp:
         """Current OPP (frequency and voltage)."""
-        return self.opp_table.at(self._frequency_khz)
+        return self.opp_table.at(self.frequency_khz)
 
     @property
     def voltage(self) -> float:
@@ -117,7 +144,7 @@ class CpuCore:
             raise OppError(
                 f"core {self.core_id}: {frequency_khz} kHz is not an OPP of {self.opp_table!r}"
             )
-        self._frequency_khz = frequency_khz
+        self._topology.frequency_khz[self._index] = frequency_khz
 
     def set_target_frequency(self, target_khz: float, round_up: bool = True) -> int:
         """Quantise *target_khz* onto the OPP table and apply it.
@@ -128,7 +155,7 @@ class CpuCore:
         Returns the frequency actually set.
         """
         opp = self.opp_table.ceil(target_khz) if round_up else self.opp_table.floor(target_khz)
-        self._frequency_khz = opp.frequency_khz
+        self._topology.frequency_khz[self._index] = opp.frequency_khz
         return opp.frequency_khz
 
     # -- per-tick accounting --------------------------------------------
@@ -136,7 +163,7 @@ class CpuCore:
     @property
     def busy_fraction(self) -> float:
         """Fraction of the last tick this core spent executing (0-1)."""
-        return self._busy_fraction
+        return self._topology.busy[self._index]
 
     def capacity_cycles(self, dt_seconds: float, quota: float = 1.0) -> float:
         """Reference cycles this core can retire in *dt_seconds* under a quota.
@@ -151,7 +178,7 @@ class CpuCore:
         require_fraction(quota, "quota")
         if not self.is_online:
             return 0.0
-        return self._frequency_khz * 1000.0 * dt_seconds * quota * self.ipc_scale
+        return self.frequency_khz * 1000.0 * dt_seconds * quota * self.ipc_scale
 
     def account(self, busy_fraction: float) -> None:
         """Record the busy fraction for the tick and update ACTIVE/IDLE state.
@@ -160,12 +187,13 @@ class CpuCore:
         IDLE (cpuidle entry).  Offline cores must be given zero work.
         """
         require_fraction(busy_fraction, "busy_fraction")
-        if not self.is_online:
+        topology, index = self._topology, self._index
+        if not topology.online[index]:
             if busy_fraction > 0.0:
                 raise CoreStateError(
                     f"core {self.core_id} is offline but was accounted busy={busy_fraction}"
                 )
-            self._busy_fraction = 0.0
+            topology.busy[index] = 0.0
             return
-        self._busy_fraction = busy_fraction
-        self._state = CoreState.ACTIVE if busy_fraction > 0.0 else CoreState.IDLE
+        topology.busy[index] = busy_fraction
+        topology.active[index] = busy_fraction > 0.0

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from .battery import PowerRail, RailTopology, build_rails
-from .cpu_cluster import CpuCluster
 from .gpu import GpuModel, GpuSpec
 from .memory import MemoryBusModel, MemorySpec
 from .opp import OppTable
@@ -218,7 +217,7 @@ def _build_topology_rails(
         return build_rails(cluster_specs[0].rail_topology, cluster_specs[0].num_cores)
     rails: List[PowerRail] = []
     for cspec, cluster in zip(cluster_specs, topology.clusters):
-        core_ids = tuple(core.core_id for core in cluster.cores)
+        core_ids = cluster.core_ids
         if cspec.rail_topology is RailTopology.PER_CORE:
             rails.extend(
                 PowerRail(name=f"vdd-cpu{i}", core_ids=(i,)) for i in core_ids
@@ -263,21 +262,6 @@ class Platform:
         return f"Platform({self.spec.name}, {self.spec.num_cores} cores)"
 
     @property
-    def cluster(self) -> CpuCluster:
-        """The sole cluster of a homogeneous platform (legacy accessor).
-
-        Heterogeneous platforms have no "the cluster" — use
-        :attr:`topology` there; this raises to catch single-domain
-        assumptions leaking into multi-domain paths.
-        """
-        if self.topology.is_heterogeneous:
-            raise PlatformError(
-                f"{self.spec.name} is heterogeneous "
-                f"({self.topology.num_clusters} clusters); use platform.topology"
-            )
-        return self.topology.clusters[0]
-
-    @property
     def allows_per_core_dvfs(self) -> bool:
         """True when every core may run at its own OPP (all rails per-core)."""
         return all(
@@ -316,17 +300,16 @@ class Platform:
         evaluate each domain with its own model and combine, drawing the
         platform floor exactly once (from the primary cluster's params).
         """
-        if not self.topology.is_heterogeneous:
-            return self.power_model.breakdown(
-                self.topology.clusters[0], uncore_mw=self.uncore_power_mw()
-            )
+        topology = self.topology
+        if len(self.power_models) == 1:
+            return self.power_model.breakdown(topology, uncore_mw=self.uncore_power_mw())
         per_core: List[float] = []
         dynamic = 0.0
         static = 0.0
         overhead = 0.0
         cache = 0.0
-        for model, cluster in zip(self.power_models, self.topology.clusters):
-            part = model.breakdown(cluster)
+        for cluster_id, model in enumerate(self.power_models):
+            part = model.breakdown(topology, cluster_id=cluster_id)
             per_core.extend(part.per_core_mw)
             dynamic += part.dynamic_mw
             static += part.static_mw
@@ -349,14 +332,16 @@ class Platform:
         cluster on a shared rail pays the maximum voltage any of its
         online cores requests (the waste section 4.1.2 describes).
         """
+        topology = self.topology
         voltages: List[float] = []
-        for cspec, cluster in zip(self._cluster_specs, self.topology.clusters):
-            own = [core.voltage for core in cluster.cores]
+        for cspec, cluster in zip(self._cluster_specs, topology.clusters):
+            table = cluster.opp_table
+            own = [table.voltage_for(topology.frequency_khz[i]) for i in cluster.core_ids]
             if cspec.rail_topology.allows_per_core_dvfs:
                 voltages.extend(own)
                 continue
             shared = max(
-                (core.voltage for core in cluster.cores if core.is_online),
+                (v for v, i in zip(own, cluster.core_ids) if topology.online[i]),
                 default=own[0],
             )
             voltages.extend([shared] * len(own))

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .cpu_cluster import CpuCluster
 from .opp import Opp, OppTable
 from ..errors import ConfigError
 from ..units import require_fraction, require_non_negative
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .topology import CpuTopology
 
 __all__ = ["PowerParams", "PowerBreakdown", "CpuPowerModel"]
 
@@ -130,12 +132,13 @@ class PowerBreakdown:
 
 
 class CpuPowerModel:
-    """Evaluates the section-4.1 power model for a cluster or a hypothesis.
+    """Evaluates the section-4.1 power model for a live domain or a hypothesis.
 
     Two entry points:
 
-    * :meth:`breakdown` reads a live :class:`CpuCluster` each tick
-      (used by the simulator's power meter);
+    * :meth:`breakdown` reads one frequency domain of a live
+      :class:`~repro.soc.topology.CpuTopology` each tick (used by the
+      simulator's power meter);
     * :meth:`predict_total_mw` evaluates a hypothetical operating point
       ``(n cores, frequency, utilization)`` (used by MobiCore's
       operating-point optimizer, Eq. 10).
@@ -144,6 +147,17 @@ class CpuPowerModel:
     def __init__(self, params: PowerParams, opp_table: OppTable) -> None:
         self.params = params
         self.opp_table = opp_table
+        # Per OPP, the one-busy-core dynamic power, the static power and
+        # the span fraction, each computed once by the methods below: the
+        # exact floats a per-tick evaluation would produce.
+        self._opp_terms: Dict[int, Tuple[float, float, float]] = {
+            opp.frequency_khz: (
+                self.dynamic_power_mw(opp),
+                self.static_power_mw(opp),
+                opp_table.span_fraction(opp.frequency_khz),
+            )
+            for opp in opp_table
+        }
 
     # -- per-component terms ----------------------------------------------
 
@@ -163,10 +177,14 @@ class CpuPowerModel:
         return busy_fraction * self.dynamic_power_mw(opp) + self.static_power_mw(opp)
 
     def cluster_overhead_mw(self, online_count: int, mean_freq_fraction: float) -> float:
-        """Shared-domain power; zero with a single core online."""
+        """Shared-domain power; zero with a single core online.
+
+        Like :meth:`cache_power_mw`, a formula over fractions its callers
+        (:meth:`breakdown`, :meth:`predict_total_mw`) have produced or
+        checked, so it does not re-validate them.
+        """
         if online_count < 2:
             return 0.0
-        require_fraction(mean_freq_fraction, "mean_freq_fraction")
         return (
             self.params.cluster_overhead_base_mw
             + self.params.cluster_overhead_span_mw * mean_freq_fraction
@@ -174,47 +192,57 @@ class CpuPowerModel:
 
     def cache_power_mw(self, mean_busy_fraction: float, mean_freq_fraction: float) -> float:
         """Eq. (4)'s Pcache: activity- and frequency-dependent, core-count independent."""
-        require_fraction(mean_busy_fraction, "mean_busy_fraction")
-        require_fraction(mean_freq_fraction, "mean_freq_fraction")
         return mean_busy_fraction * (
             self.params.cache_base_mw + self.params.cache_span_mw * mean_freq_fraction
         )
 
-    # -- live cluster evaluation --------------------------------------------
+    # -- live domain evaluation -----------------------------------------------
 
-    def breakdown(self, cluster: CpuCluster, uncore_mw: float = 0.0) -> PowerBreakdown:
-        """Itemised platform power for the cluster's current tick state."""
-        require_non_negative(uncore_mw, "uncore_mw")
-        per_core = []
+    def breakdown(
+        self, topology: "CpuTopology", uncore_mw: float = 0.0, cluster_id: int = 0
+    ) -> PowerBreakdown:
+        """Itemised power of one domain of *topology* at its current tick state.
+
+        Reads the topology's per-core lists for the cores of cluster
+        *cluster_id* (the only cluster of a homogeneous platform), in
+        core-id order, with the same float expressions and order as
+        the per-component methods; the caller's *uncore_mw* is taken
+        as given.
+        """
+        online = topology.online
+        frequency = topology.frequency_khz
+        busy = topology.busy
+        terms = self._opp_terms
+        per_core: List[float] = []
+        spans: List[float] = []
+        busy_online: List[float] = []
         dynamic = 0.0
         static = 0.0
-        online = cluster.online_cores
-        for core in cluster.cores:
-            if not core.is_online:
+        for core_id in topology.clusters[cluster_id].core_ids:
+            if not online[core_id]:
                 per_core.append(0.0)
                 continue
-            opp = core.opp
-            d = core.busy_fraction * self.dynamic_power_mw(opp)
-            s = self.static_power_mw(opp)
+            dynamic_one, s, span = terms[frequency[core_id]]
+            fraction = busy[core_id]
+            d = fraction * dynamic_one
             dynamic += d
             static += s
             per_core.append(d + s)
-        if online:
-            mean_freq_fraction = sum(
-                self.opp_table.span_fraction(c.frequency_khz) for c in online
-            ) / len(online)
-            mean_busy = sum(c.busy_fraction for c in online) / len(online)
+            spans.append(span)
+            busy_online.append(fraction)
+        count = len(spans)
+        if count:
+            mean_freq_fraction = sum(spans) / count
+            mean_busy = sum(busy_online) / count
         else:
             mean_freq_fraction = 0.0
             mean_busy = 0.0
-        overhead = self.cluster_overhead_mw(len(online), mean_freq_fraction)
-        cache = self.cache_power_mw(mean_busy, mean_freq_fraction)
         return PowerBreakdown(
             per_core_mw=per_core,
             dynamic_mw=dynamic,
             static_mw=static,
-            cluster_overhead_mw=overhead,
-            cache_mw=cache,
+            cluster_overhead_mw=self.cluster_overhead_mw(count, mean_freq_fraction),
+            cache_mw=self.cache_power_mw(mean_busy, mean_freq_fraction),
             base_mw=self.params.platform_base_mw,
             uncore_mw=uncore_mw,
         )
@@ -233,13 +261,17 @@ class CpuPowerModel:
         All *online_count* cores run at *frequency_khz* with the given
         per-core busy fraction.  This is the quantity MobiCore minimises
         when comparing (n, f) combinations (Eq. 10 applied to n cores).
+        The per-OPP terms are the ones :meth:`breakdown` reads, with the
+        per-component methods' float expressions.
         """
         if online_count < 0:
             raise ConfigError(f"online_count must be non-negative, got {online_count}")
         require_fraction(busy_fraction, "busy_fraction")
-        opp = self.opp_table.at(frequency_khz)
-        freq_fraction = self.opp_table.span_fraction(frequency_khz)
-        per_core = self.core_power_mw(opp, busy_fraction, online=True)
+        terms = self._opp_terms.get(frequency_khz)
+        if terms is None:
+            self.opp_table.at(frequency_khz)  # raises OppError: not an OPP
+        dynamic, static, freq_fraction = terms
+        per_core = busy_fraction * dynamic + static
         overhead = self.cluster_overhead_mw(online_count, freq_fraction)
         cache = self.cache_power_mw(busy_fraction if online_count else 0.0, freq_fraction)
         return (

@@ -84,11 +84,6 @@ class ThermalModel:
         return max(self._throttle_steps, self._injected_floor_steps)
 
     @property
-    def injected_throttle_steps(self) -> int:
-        """The externally-injected throttle floor (0 when none is active)."""
-        return self._injected_floor_steps
-
-    @property
     def max_allowed_frequency_khz(self) -> int:
         """Highest OPP frequency currently permitted by thermal state."""
         index = len(self.opp_table) - 1 - self.throttle_steps

@@ -9,12 +9,17 @@ one homogeneous frequency domain (core type, count, OPP table, power
 constants, IPC scale, rail), and a :class:`CpuTopology` assembles one or
 more domains into a single address space of globally-numbered cores.
 
+The topology is the one owner of per-tick core state: flat per-core
+lists that hotplug, cpufreq and the engine write and every tick layer
+reads by core id.  :class:`~repro.soc.cpu_core.CpuCore` objects are live
+views of one slot for the API and the sysfs tree, and a
+:class:`~repro.soc.cpu_cluster.CpuCluster` is domain data only.
+
 Design contract (see ``docs/NUMERICS.md``): for a single-cluster
 topology every aggregate view iterates the same cores in the same order
-with the same float expressions as the pre-topology
-:class:`~repro.soc.cpu_cluster.CpuCluster` code did, so homogeneous
-platforms produce **bit-identical** summaries before and after the
-refactor.  Heterogeneity is purely additive.
+with the same float expressions as the pre-topology single-cluster code
+did, so homogeneous platforms produce **bit-identical** summaries.
+Heterogeneity is purely additive.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .battery import RailTopology
-from .core_state import CoreState
+from .core_state import TRANSITION_LATENCY_SECONDS, CoreState
 from .cpu_cluster import CpuCluster
 from .cpu_core import CpuCore
 from .opp import OppTable
@@ -32,6 +37,14 @@ from ..errors import HotplugError, PlatformError
 from ..units import require_fraction, require_positive
 
 __all__ = ["ClusterSpec", "CpuTopology"]
+
+#: Hotplug latencies, looked up once: onlining, and offlining an idle or
+#: an active core.
+_ONLINE_LATENCY = TRANSITION_LATENCY_SECONDS[(CoreState.OFFLINE, CoreState.IDLE)]
+_OFFLINE_LATENCY = {
+    False: TRANSITION_LATENCY_SECONDS[(CoreState.IDLE, CoreState.OFFLINE)],
+    True: TRANSITION_LATENCY_SECONDS[(CoreState.ACTIVE, CoreState.OFFLINE)],
+}
 
 
 @dataclass(frozen=True)
@@ -96,10 +109,21 @@ class CpuTopology:
     cluster).  Core 0 is the boot core and can never be offlined; any
     *other* cluster may go fully offline.
 
-    All aggregate views (online mask, utilization, capacity) iterate the
-    flat core list in global id order — for a single cluster this is
-    exactly the iteration the old cluster-level code performed, which is
-    what keeps homogeneous platforms bit-identical.
+    Per-core state, indexed by global core id, is held in plain lists
+    that are mutated in place (never rebound), so the tick loop may bind
+    them once per session:
+
+    * ``online`` — hotplug state;
+    * ``active`` — executing (ACTIVE) rather than idle, online cores only;
+    * ``frequency_khz`` — the current OPP;
+    * ``busy`` — the last tick's busy fraction (0 while offline);
+    * ``transitions`` — hotplug churn since the last counter reset.
+
+    Per-core constants, built once: ``cluster_ids``, ``opp_tables``,
+    ``ipc_scales`` and ``max_frequencies_khz``.  All aggregate views
+    iterate in global id order — for a single cluster this is exactly
+    the iteration the old cluster-level code performed, which is what
+    keeps homogeneous platforms bit-identical.
     """
 
     def __init__(self, cluster_specs: Sequence[ClusterSpec]) -> None:
@@ -109,23 +133,27 @@ class CpuTopology:
         clusters: List[CpuCluster] = []
         first = 0
         for cluster_id, spec in enumerate(self.cluster_specs):
+            core_ids = tuple(range(first, first + spec.num_cores))
             clusters.append(
-                CpuCluster(
-                    spec.num_cores,
-                    spec.opp_table,
-                    first_core_id=first,
-                    cluster_id=cluster_id,
-                    name=spec.name,
-                    ipc_scale=spec.ipc_scale,
-                )
+                CpuCluster(cluster_id, spec.name, spec.opp_table, spec.ipc_scale, core_ids)
             )
             first += spec.num_cores
         self.clusters: Tuple[CpuCluster, ...] = tuple(clusters)
+        owners = [cluster for cluster in clusters for _ in cluster.core_ids]
+        self.cluster_ids = tuple(cluster.cluster_id for cluster in owners)
+        self.opp_tables = tuple(cluster.opp_table for cluster in owners)
+        self.ipc_scales = tuple(cluster.ipc_scale for cluster in owners)
+        self.max_frequencies_khz = tuple(t.max_frequency_khz for t in self.opp_tables)
+        #: The fastest fmax over all clusters (backlog-cap reference).
+        self.max_frequency_khz = max(self.max_frequencies_khz)
+        self.online: List[bool] = [True] * first
+        self.active: List[bool] = [False] * first
+        self.frequency_khz: List[int] = [t.min_frequency_khz for t in self.opp_tables]
+        self.busy: List[float] = [0.0] * first
+        self.transitions: List[int] = [0] * first
         self._cores: Tuple[CpuCore, ...] = tuple(
-            core for cluster in self.clusters for core in cluster.cores
-        )
-        self._cluster_of: Tuple[CpuCluster, ...] = tuple(
-            cluster for cluster in self.clusters for _ in cluster.cores
+            CpuCore(core_id, table, ipc, topology=self)
+            for core_id, (table, ipc) in enumerate(zip(self.opp_tables, self.ipc_scales))
         )
 
     def __len__(self) -> int:
@@ -164,45 +192,31 @@ class CpuTopology:
                 f"no core {core_id} in a {len(self._cores)}-core topology"
             ) from None
 
-    def cluster_of(self, core_id: int) -> CpuCluster:
-        """The cluster that owns global core *core_id*."""
+    def cluster_id_of(self, core_id: int) -> int:
+        """The cluster index of global core *core_id*."""
         try:
-            return self._cluster_of[core_id]
+            return self.cluster_ids[core_id]
         except IndexError:
             raise HotplugError(
                 f"no core {core_id} in a {len(self._cores)}-core topology"
             ) from None
-
-    def cluster_id_of(self, core_id: int) -> int:
-        """The cluster index of global core *core_id*."""
-        return self.cluster_of(core_id).cluster_id
-
-    @property
-    def cluster_ids(self) -> Tuple[int, ...]:
-        """Per-core cluster index, in global core-id order."""
-        return tuple(cluster.cluster_id for cluster in self._cluster_of)
-
-    @property
-    def max_frequency_khz(self) -> int:
-        """The fastest fmax over all clusters (backlog-cap reference)."""
-        return max(cluster.opp_table.max_frequency_khz for cluster in self.clusters)
 
     # -- online mask -----------------------------------------------------
 
     @property
     def online_cores(self) -> List[CpuCore]:
         """Cores currently available to the scheduler, in global id order."""
-        return [c for c in self._cores if c.is_online]
+        return [core for core, online in zip(self._cores, self.online) if online]
 
     @property
     def online_count(self) -> int:
         """Number of online cores."""
-        return sum(1 for c in self._cores if c.is_online)
+        return sum(self.online)
 
     @property
     def online_mask(self) -> List[bool]:
-        """Per-core online flags, indexed by global core id."""
-        return [c.is_online for c in self._cores]
+        """Per-core online flags, indexed by global core id (a copy)."""
+        return list(self.online)
 
     def set_online_mask(self, mask: Sequence[bool]) -> float:
         """Apply a full online/offline mask, returning total transition latency.
@@ -210,21 +224,29 @@ class CpuTopology:
         The mask must keep the boot core (global id 0) online and have
         one entry per core.  A non-boot cluster may go fully offline —
         that is exactly how an energy-aware policy parks the big cluster.
+        Onlined cores come up idle; offlined cores lose their busy time.
         """
-        if len(mask) != len(self._cores):
+        online = self.online
+        if len(mask) != len(online):
             raise HotplugError(
-                f"mask has {len(mask)} entries for a {len(self._cores)}-core topology"
+                f"mask has {len(mask)} entries for a {len(online)}-core topology"
             )
         if not mask[0]:
             raise HotplugError("core 0 is the boot core and cannot be offlined")
-        if not any(mask):
-            raise HotplugError("at least one core must stay online")
+        active = self.active
         latency = 0.0
-        for core, online in zip(self._cores, mask):
-            if online and not core.is_online:
-                latency += core.set_state(CoreState.IDLE)
-            elif not online and core.is_online:
-                latency += core.set_state(CoreState.OFFLINE)
+        for core_id, want in enumerate(mask):
+            if want:
+                if not online[core_id]:
+                    latency += _ONLINE_LATENCY
+                    online[core_id] = True
+                    self.transitions[core_id] += 1
+            elif online[core_id]:
+                latency += _OFFLINE_LATENCY[active[core_id]]
+                online[core_id] = False
+                active[core_id] = False
+                self.busy[core_id] = 0.0
+                self.transitions[core_id] += 1
         return latency
 
     def set_online_count(self, count: int) -> float:
@@ -240,11 +262,11 @@ class CpuTopology:
 
     @property
     def frequencies_khz(self) -> List[int]:
-        """Per-core current frequencies, indexed by global core id."""
-        return [c.frequency_khz for c in self._cores]
+        """Per-core current frequencies, indexed by global core id (a copy)."""
+        return list(self.frequency_khz)
 
     def set_all_frequencies(self, frequency_khz: int) -> None:
-        """Set every core to one OPP; multi-cluster topologies clamp per domain.
+        """Set every core, online or not, to one OPP; each domain clamps its own.
 
         On a heterogeneous topology each cluster quantises the request
         into its own ladder (floor of the clamped target), since one
@@ -253,20 +275,22 @@ class CpuTopology:
         for cluster in self.clusters:
             table = cluster.opp_table
             if frequency_khz in table:
-                cluster.set_all_frequencies(frequency_khz)
+                applied = frequency_khz
             else:
                 clamped = min(
                     max(frequency_khz, table.min_frequency_khz),
                     table.max_frequency_khz,
                 )
-                cluster.set_all_frequencies(table.floor(clamped).frequency_khz)
+                applied = table.floor(clamped).frequency_khz
+            for core_id in cluster.core_ids:
+                self.frequency_khz[core_id] = applied
 
     def mean_online_frequency_khz(self) -> float:
         """Average frequency over online cores (Figure 12 metric)."""
-        online = self.online_cores
+        online = [f for f, on in zip(self.frequency_khz, self.online) if on]
         if not online:
             return 0.0
-        return sum(c.frequency_khz for c in online) / len(online)
+        return sum(online) / len(online)
 
     # -- aggregate views ---------------------------------------------------
 
@@ -280,20 +304,25 @@ class CpuTopology:
 
         The denominator of the paper's "global CPU load" generalised per
         domain; for a single cluster this reduces to the original
-        ``fmax * dt * n`` expression exactly (a one-term sum).
+        ``fmax * dt * n`` expression exactly (a one-term sum, and the
+        trailing ``ipc_scale`` of 1.0 is an IEEE-754 no-op).
         """
-        return sum(cluster.max_capacity_cycles(dt_seconds) for cluster in self.clusters)
+        return sum(
+            cluster.opp_table.max_frequency_khz * 1000.0 * dt_seconds
+            * len(cluster) * cluster.ipc_scale
+            for cluster in self.clusters
+        )
 
     def global_utilization_percent(self) -> float:
         """Average busy percentage over online cores (section 2.2 definition)."""
-        online = self.online_cores
+        online = [b for b, on in zip(self.busy, self.online) if on]
         if not online:
             return 0.0
-        return 100.0 * sum(c.busy_fraction for c in online) / len(online)
+        return 100.0 * sum(online) / len(online)
 
     def per_core_utilization_percent(self) -> Dict[int, float]:
         """Busy percentage per global core id (offline cores report 0)."""
-        return {c.core_id: 100.0 * c.busy_fraction for c in self._cores}
+        return {core_id: 100.0 * busy for core_id, busy in enumerate(self.busy)}
 
     def online_count_in(self, cluster_id: int) -> int:
         """Online cores inside one cluster (placement observability)."""
@@ -303,9 +332,19 @@ class CpuTopology:
             raise PlatformError(
                 f"no cluster {cluster_id} in a {len(self.clusters)}-cluster topology"
             ) from None
-        return cluster.online_count
+        return sum(self.online[core_id] for core_id in cluster.core_ids)
 
     def reset(self) -> None:
-        """Return every cluster to boot state: cores online, idle, at fmin."""
-        for cluster in self.clusters:
-            cluster.reset()
+        """Return every core to boot state: online, idle, at its fmin.
+
+        Bringing an offline core back counts as one transition (the
+        kernel stack zeroes the counters afterwards).
+        """
+        for core_id, online in enumerate(self.online):
+            if not online:
+                self.transitions[core_id] += 1
+        count = len(self._cores)
+        self.online[:] = [True] * count
+        self.active[:] = [False] * count
+        self.frequency_khz[:] = [t.min_frequency_khz for t in self.opp_tables]
+        self.busy[:] = [0.0] * count

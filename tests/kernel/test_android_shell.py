@@ -29,7 +29,7 @@ class TestReads:
     def test_online_and_frequency(self, shell):
         session, tree = shell
         assert tree.read("/sys/devices/system/cpu/cpu0/online") == "1"
-        session.platform.cluster.core(1).set_frequency(960_000)
+        session.platform.topology.core(1).set_frequency(960_000)
         assert (
             tree.read("/sys/devices/system/cpu/cpu1/cpufreq/scaling_cur_freq")
             == "960000"
@@ -56,28 +56,28 @@ class TestWrites:
         session, tree = shell
         session.stack.hotplug.set_mpdecision(False)
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert not session.platform.cluster.core(3).is_online
+        assert not session.platform.topology.core(3).is_online
 
     def test_mpdecision_blocks_offline_until_disabled(self, shell):
         """The paper's adb-shell sequence: disable mpdecision first."""
         session, tree = shell
         session.stack.hotplug.set_mpdecision(True)
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert session.platform.cluster.core(3).is_online  # vetoed
+        assert session.platform.topology.core(3).is_online  # vetoed
         tree.write("/sys/module/mpdecision/enabled", "0")
         tree.write("/sys/devices/system/cpu/cpu3/online", "0")
-        assert not session.platform.cluster.core(3).is_online
+        assert not session.platform.topology.core(3).is_online
 
     def test_setspeed_quantises(self, shell):
         session, tree = shell
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed", "961000")
-        assert session.platform.cluster.core(0).frequency_khz == 1_036_800
+        assert session.platform.topology.core(0).frequency_khz == 1_036_800
 
     def test_scaling_limits(self, shell):
         session, tree = shell
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_max_freq", "960000")
         tree.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed", "2265600")
-        assert session.platform.cluster.core(0).frequency_khz == 960_000
+        assert session.platform.topology.core(0).frequency_khz == 960_000
 
     def test_quota_write(self, shell):
         session, tree = shell

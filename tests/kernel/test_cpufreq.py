@@ -39,7 +39,7 @@ class TestLimits:
 
 class TestApply:
     def test_none_leaves_unchanged(self, cpufreq, platform, opp_table):
-        platform.cluster.core(1).set_frequency(960_000)
+        platform.topology.core(1).set_frequency(960_000)
         applied = cpufreq.apply([None, None, None, None])
         assert applied[1] == 960_000
 
@@ -61,7 +61,7 @@ class TestApply:
         assert cpufreq.transition_count == 1
 
     def test_offline_core_accepts_setting(self, cpufreq, platform):
-        platform.cluster.set_online_count(1)
+        platform.topology.set_online_count(1)
         applied = cpufreq.apply([None, 960_000.0, None, None])
         assert applied[1] == 960_000
 

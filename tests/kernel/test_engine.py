@@ -33,9 +33,9 @@ class TestKernelStack:
                 quota=0.5,
             )
         )
-        assert list(platform.cluster.online_mask) == [True, True, False, False]
+        assert list(platform.topology.online_mask) == [True, True, False, False]
         assert all(
-            core.frequency_khz == 960_000 for core in platform.cluster.online_cores
+            core.frequency_khz == 960_000 for core in platform.topology.online_cores
         )
         assert stack.bandwidth.quota == 0.5
 
@@ -61,7 +61,7 @@ class TestKernelStack:
             PolicyDecision(online_mask=[True, False, False, False], quota=0.25)
         )
         stack.reset()
-        assert all(platform.cluster.online_mask)
+        assert all(platform.topology.online_mask)
         assert stack.bandwidth.quota == 1.0
 
 

@@ -7,12 +7,12 @@ from repro.kernel.cgroup import CpuBandwidthController
 from repro.kernel.cpuidle import CpuidleStats
 from repro.kernel.hotplug import HotplugSubsystem
 from repro.soc.core_state import CoreState
-from repro.soc.cpu_cluster import CpuCluster
+from repro.soc.topology import CpuTopology
 
 
 @pytest.fixture
-def cluster(opp_table):
-    return CpuCluster(4, opp_table)
+def cluster(spec):
+    return CpuTopology(spec.cluster_specs())
 
 
 class TestHotplugSubsystem:

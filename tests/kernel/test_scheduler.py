@@ -1,18 +1,20 @@
 """Load-balancing scheduler semantics: balance, backlog, parallelism."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SchedulerError
 from repro.kernel.scheduler import LoadBalancingScheduler
 from repro.kernel.task import Task, TaskDemand
-from repro.soc.cpu_cluster import CpuCluster
+from repro.soc.topology import CpuTopology
 
 DT = 0.02
 
 
 @pytest.fixture
-def cluster(opp_table):
-    cluster = CpuCluster(4, opp_table)
+def cluster(spec, opp_table):
+    cluster = CpuTopology(spec.cluster_specs())
     cluster.set_all_frequencies(opp_table.max_frequency_khz)
     return cluster
 
@@ -31,9 +33,9 @@ class TestDispatchBasics:
         with pytest.raises(Exception):
             scheduler.dispatch([], cluster, dt_seconds=-1.0)
 
-    def test_zero_online_cores_is_unreachable(self, opp_table):
+    def test_zero_online_cores_is_unreachable(self, spec):
         """The public API cannot produce a coreless cluster (core 0 pinned)."""
-        cluster = CpuCluster(1, opp_table)
+        cluster = CpuTopology((dataclasses.replace(spec.cluster_specs()[0], num_cores=1),))
         with pytest.raises(Exception):
             cluster.set_online_mask([False])
 
@@ -137,7 +139,7 @@ class TestBacklog:
 
     def test_backlog_capped_and_dropped(self, scheduler, cluster):
         cap_limit = (
-            cluster.opp_table.max_frequency_khz * 1000 * DT * scheduler.backlog_cap_ticks
+            cluster.clusters[0].opp_table.max_frequency_khz * 1000 * DT * scheduler.backlog_cap_ticks
         )
         huge = cap_limit * 10
         result = scheduler.dispatch(

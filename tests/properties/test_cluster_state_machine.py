@@ -1,9 +1,9 @@
 """Stateful property test: the cluster under arbitrary operation sequences.
 
 A hypothesis rule-based machine performs random hotplug and DVFS
-operations on a cluster and checks the structural invariants after every
-step: core 0 online, at least one core online, every frequency a table
-entry, utilization consistent with the online mask.
+operations on a one-domain topology and checks the structural invariants
+after every step: core 0 online, at least one core online, every
+frequency a table entry, utilization consistent with the online mask.
 """
 
 import pytest
@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import HotplugError
-from repro.soc.calibration import nexus5_opp_table, nexus5_power_params
-from repro.soc.cpu_cluster import CpuCluster
+from repro.soc.catalog import nexus5_spec
 from repro.soc.power_model import CpuPowerModel
+from repro.soc.topology import CpuTopology
 
-TABLE = nexus5_opp_table()
-MODEL = CpuPowerModel(nexus5_power_params(), TABLE)
+SPEC = nexus5_spec()
+TABLE = SPEC.opp_table
+MODEL = CpuPowerModel(SPEC.power_params, TABLE)
 
 
 class ClusterMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.cluster = CpuCluster(4, TABLE)
+        self.cluster = CpuTopology(SPEC.cluster_specs())
 
     @rule(count=st.integers(min_value=1, max_value=4))
     def set_online_count(self, count):

@@ -22,7 +22,6 @@ from repro.kernel.scheduler import DispatchResult, LoadBalancingScheduler
 from repro.kernel.task import Task, TaskDemand
 from repro.obs.bus import NULL_TRACEPOINT, TracepointBus
 from repro.obs.events import SchedMigrationEvent
-from repro.soc.calibration import nexus5_opp_table
 from repro.soc.catalog import get_phone_spec
 from repro.soc.cpu_cluster import CpuCluster
 from repro.soc.topology import CpuTopology
@@ -289,9 +288,7 @@ class RunQueueScheduler:
 
 
 def build_cpus(board: str) -> Union[CpuCluster, CpuTopology]:
-    """The Nexus 5's standalone cluster, or the Odroid-XU3's two domains."""
-    if board == "Nexus 5":
-        return CpuCluster(4, nexus5_opp_table())
+    """The Nexus 5's one-domain topology, or the Odroid-XU3's two domains."""
     return CpuTopology(get_phone_spec(board).cluster_specs())
 
 

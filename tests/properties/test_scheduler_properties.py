@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.kernel.scheduler import LoadBalancingScheduler
 from repro.kernel.task import Task, TaskDemand
-from repro.soc.calibration import nexus5_opp_table
-from repro.soc.cpu_cluster import CpuCluster
+from repro.soc.catalog import nexus5_spec
+from repro.soc.topology import CpuTopology
 
 DT = 0.02
-TABLE = nexus5_opp_table()
+SPEC = nexus5_spec()
+TABLE = SPEC.opp_table
 
 
 @st.composite
@@ -28,7 +29,7 @@ def demand_sets(draw):
 
 @st.composite
 def clusters(draw):
-    cluster = CpuCluster(4, TABLE)
+    cluster = CpuTopology(SPEC.cluster_specs())
     frequency = draw(st.sampled_from(TABLE.frequencies_khz))
     cluster.set_all_frequencies(frequency)
     online = draw(st.integers(min_value=1, max_value=4))

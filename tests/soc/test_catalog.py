@@ -50,12 +50,12 @@ class TestCatalog:
     def test_every_spec_boots(self):
         for spec in fleet_specs():
             platform = Platform.from_spec(spec)
-            assert platform.cluster.online_count == spec.num_cores
+            assert platform.topology.online_count == spec.num_cores
 
 
 def full_stress_power(spec) -> float:
     platform = Platform.from_spec(spec)
-    for core in platform.cluster.cores:
+    for core in platform.topology.cores:
         core.set_frequency(spec.opp_table.max_frequency_khz)
         core.account(1.0)
     return platform.power_breakdown().total_mw

@@ -1,14 +1,15 @@
-"""Cluster-level online mask, DVFS, and aggregate views."""
+"""Online mask, DVFS, and aggregate views of a one-domain topology."""
 
 import pytest
 
 from repro.errors import HotplugError
 from repro.soc.cpu_cluster import CpuCluster
+from repro.soc.topology import CpuTopology
 
 
 @pytest.fixture
-def cluster(opp_table):
-    return CpuCluster(4, opp_table)
+def cluster(spec):
+    return CpuTopology(spec.cluster_specs())
 
 
 class TestConstruction:
@@ -18,7 +19,7 @@ class TestConstruction:
 
     def test_zero_cores_rejected(self, opp_table):
         with pytest.raises(HotplugError):
-            CpuCluster(0, opp_table)
+            CpuCluster(0, "cpu", opp_table, 1.0, ())
 
     def test_core_lookup(self, cluster):
         assert cluster.core(2).core_id == 2

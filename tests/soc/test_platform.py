@@ -9,7 +9,7 @@ from repro.soc.platform import Platform
 
 class TestBootState:
     def test_cluster_size(self, platform, spec):
-        assert len(platform.cluster) == spec.num_cores
+        assert len(platform.topology) == spec.num_cores
 
     def test_uncore_idle_at_boot(self, platform):
         assert not platform.gpu.pinned_max
@@ -41,7 +41,7 @@ class TestUncoreConstraints:
 
 class TestEffectiveVoltages:
     def test_per_core_rails_use_own_voltage(self, platform):
-        platform.cluster.core(0).set_frequency(platform.opp_table.max_frequency_khz)
+        platform.topology.core(0).set_frequency(platform.opp_table.max_frequency_khz)
         voltages = platform.effective_voltages()
         assert voltages[0] == pytest.approx(1.2)
         assert voltages[1] == pytest.approx(0.9)
@@ -50,14 +50,14 @@ class TestEffectiveVoltages:
         spec = get_phone_spec("Galaxy S II")
         platform = Platform.from_spec(spec)
         fmax = spec.opp_table.max_frequency_khz
-        platform.cluster.core(0).set_frequency(fmax)
+        platform.topology.core(0).set_frequency(fmax)
         voltages = platform.effective_voltages()
         assert voltages[0] == voltages[1] == pytest.approx(spec.opp_table.max.voltage)
 
 
 class TestThermalStep:
     def test_step_thermal_heats_under_load(self, platform):
-        for core in platform.cluster.cores:
+        for core in platform.topology.cores:
             core.set_frequency(platform.opp_table.max_frequency_khz)
             core.account(1.0)
         start = platform.thermal.temperature_c
@@ -68,12 +68,12 @@ class TestThermalStep:
 class TestReset:
     def test_reset_restores_boot(self, platform):
         platform.pin_uncore_max()
-        platform.cluster.set_online_count(1)
-        platform.cluster.core(0).set_frequency(platform.opp_table.max_frequency_khz)
-        platform.cluster.core(0).account(1.0)
+        platform.topology.set_online_count(1)
+        platform.topology.core(0).set_frequency(platform.opp_table.max_frequency_khz)
+        platform.topology.core(0).account(1.0)
         platform.step_thermal(100.0)
         platform.reset()
-        assert platform.cluster.online_count == 4
+        assert platform.topology.online_count == 4
         assert not platform.gpu.pinned_max
         assert not platform.memory.is_high
         assert platform.thermal.temperature_c == pytest.approx(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.soc.calibration import nexus5_power_params
-from repro.soc.cpu_cluster import CpuCluster
 from repro.soc.power_model import CpuPowerModel, PowerParams
 
 
@@ -76,10 +75,10 @@ class TestTerms:
 
 class TestBreakdown:
     def test_breakdown_totals_add_up(self, model, platform):
-        for core in platform.cluster.cores:
+        for core in platform.topology.cores:
             core.set_frequency(platform.opp_table.max_frequency_khz)
             core.account(1.0)
-        breakdown = model.breakdown(platform.cluster, uncore_mw=100.0)
+        breakdown = model.breakdown(platform.topology, uncore_mw=100.0)
         expected_total = (
             breakdown.dynamic_mw
             + breakdown.static_mw
@@ -92,16 +91,16 @@ class TestBreakdown:
         assert breakdown.uncore_mw == pytest.approx(100.0)
 
     def test_breakdown_per_core_entries(self, model, platform):
-        platform.cluster.set_online_count(2)
-        breakdown = model.breakdown(platform.cluster)
+        platform.topology.set_online_count(2)
+        breakdown = model.breakdown(platform.topology)
         assert len(breakdown.per_core_mw) == 4
         assert breakdown.per_core_mw[2] == 0.0
         assert breakdown.per_core_mw[0] > 0.0
 
     def test_offlining_reduces_power(self, model, platform):
-        breakdown_all = model.breakdown(platform.cluster)
-        platform.cluster.set_online_count(1)
-        breakdown_one = model.breakdown(platform.cluster)
+        breakdown_all = model.breakdown(platform.topology)
+        platform.topology.set_online_count(1)
+        breakdown_one = model.breakdown(platform.topology)
         assert breakdown_one.total_mw < breakdown_all.total_mw
 
 
@@ -109,10 +108,10 @@ class TestPrediction:
     def test_predict_matches_breakdown(self, model, platform):
         """The hypothesis evaluator agrees with the live-cluster path."""
         freq = platform.opp_table.max_frequency_khz
-        for core in platform.cluster.cores:
+        for core in platform.topology.cores:
             core.set_frequency(freq)
             core.account(1.0)
-        live = model.breakdown(platform.cluster).total_mw
+        live = model.breakdown(platform.topology).total_mw
         predicted = model.predict_total_mw(4, freq, 1.0)
         assert predicted == pytest.approx(live)
 

@@ -183,15 +183,6 @@ class TestHeteroPlatform:
         assert not platform.allows_per_core_dvfs
         assert not platform.domain_allows_per_core_dvfs(0)
 
-    def test_cluster_property_guards_hetero(self):
-        platform = Platform.from_spec(odroid_xu3_spec())
-        with pytest.raises(PlatformError):
-            platform.cluster
-
-    def test_cluster_property_still_works_single(self):
-        platform = Platform.from_spec(nexus5_spec())
-        assert platform.cluster is platform.topology.clusters[0]
-
     def test_power_breakdown_combines_domains(self):
         platform = Platform.from_spec(odroid_xu3_spec())
         platform.topology.set_online_mask([True] * 4 + [False] * 4)
