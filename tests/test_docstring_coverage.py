@@ -8,7 +8,8 @@ plus `repro.policies.energy_aware`), the columnar trace spine
 (`repro.kernel.batch_engine`), the tick-loop entry point with its
 control planes (`repro.kernel.engine`, `repro.obs.bus`,
 `repro.kernel.android_shell`) and the tick loop's own layers
-(`repro.kernel.scheduler`, `procstat`, `task`, `tracing`) promise
+(`repro.kernel.scheduler`, `procstat`, `task`, `tracing`, `cpufreq`,
+`hotplug`, `cpuidle`, `cgroup`) promise
 complete docstrings —
 docs/API.md points readers at `help()` — so the gate is 100%, checked
 by `tools/docstring_coverage.py` in CI and here.
@@ -77,6 +78,10 @@ class TestGatedPackages:
             "src/repro/kernel/procstat.py",
             "src/repro/kernel/task.py",
             "src/repro/kernel/tracing.py",
+            "src/repro/kernel/cpufreq.py",
+            "src/repro/kernel/hotplug.py",
+            "src/repro/kernel/cpuidle.py",
+            "src/repro/kernel/cgroup.py",
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "(100.0%)" in result.stdout

@@ -21,7 +21,8 @@ energy-aware policy, the tick loop with its control planes
 (``repro/kernel/engine.py``, ``repro/obs/bus.py``,
 ``repro/kernel/android_shell.py``) and its layers
 (``repro/kernel/scheduler.py``, ``procstat.py``, ``task.py``,
-``tracing.py``).
+``tracing.py``, ``cpufreq.py``, ``hotplug.py``, ``cpuidle.py``,
+``cgroup.py``).
 """
 
 from __future__ import annotations
