@@ -15,6 +15,7 @@ from ..obs.bus import NULL_TRACEPOINT, TracepointBus
 from ..obs.events import CpuidleEvent
 from ..soc.core_state import CoreState
 from ..soc.topology import CpuTopology
+from ..units import require_positive
 
 __all__ = ["CpuidleStats"]
 
@@ -46,6 +47,7 @@ class CpuidleStats:
         each core's dominant state (ACTIVE when busy at all, else IDLE,
         or OFFLINE) is tracked and its changes emitted.
         """
+        require_positive(dt_seconds, "dt_seconds")
         online = topology.online
         if len(online) != self.num_cores:
             raise MeterError(

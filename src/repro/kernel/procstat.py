@@ -39,12 +39,9 @@ class ProcStat:
             raise MeterError(
                 f"{len(per_core_percent)} utilizations for {len(online_mask)} online flags"
             )
-        if per_core_percent and not (
-            0.0 <= min(per_core_percent) and max(per_core_percent) <= 100.0
-        ):
-            raise UnitsError(
-                f"per-core utilization must lie in [0, 100], got {list(per_core_percent)!r}"
-            )
+        for value in per_core_percent:
+            if not 0.0 <= value <= 100.0:
+                raise UnitsError(f"per-core utilization must lie in [0, 100], got {value!r}")
         online = [u for u, on in zip(per_core_percent, online_mask) if on]
         if self.tick is not None:
             self._previous_global_percent = self.global_percent

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BandwidthError, HotplugError
+from repro.errors import BandwidthError, HotplugError, UnitsError
 from repro.kernel.cgroup import CpuBandwidthController
 from repro.kernel.cpuidle import CpuidleStats
 from repro.kernel.hotplug import HotplugSubsystem
@@ -125,6 +125,11 @@ class TestCpuidleStats:
         stats = CpuidleStats(2)
         with pytest.raises(Exception):
             stats.record(cluster, 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_non_positive_dt_rejected(self, cluster, dt):
+        with pytest.raises(UnitsError):
+            CpuidleStats(4).record(cluster, dt)
 
     def test_reset(self, cluster):
         stats = CpuidleStats(4)

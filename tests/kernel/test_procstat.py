@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MeterError
+from repro.errors import MeterError, UnitsError
 from repro.kernel.procstat import ProcStat
 
 
@@ -34,6 +34,11 @@ class TestProcStat:
     def test_out_of_range_percent_rejected(self):
         with pytest.raises(Exception):
             ProcStat().record(0, [120.0], [True])
+
+    @pytest.mark.parametrize("values", [[float("nan"), 50.0], [50.0, float("nan")]])
+    def test_nan_percent_rejected_in_any_slot(self, values):
+        with pytest.raises(UnitsError):
+            ProcStat().record(0, values, [True, True])
 
     def test_delta_between_last_two(self):
         stat = ProcStat()
