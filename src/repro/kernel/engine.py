@@ -450,7 +450,6 @@ class Session:
             allows_per_core_dvfs=self._allows_per_core_dvfs,
             cluster_ids=topology.cluster_ids,
             cluster_opp_tables=self._cluster_opp_tables,
-            max_frequencies_khz=fmax,
         )
         if self._injector is not None:
             # Sensor dropout blinds only the policy: accounting above has

@@ -44,9 +44,6 @@ class SystemObservation:
             homogeneous domain (every core in cluster 0).
         cluster_opp_tables: DVFS table per frequency domain, indexed by
             cluster id; empty means every core shares ``opp_table``.
-        max_frequencies_khz: Each core's own fmax (a per-session
-            constant); empty means look it up through
-            :meth:`opp_table_of`.
     """
 
     tick: int
@@ -62,7 +59,6 @@ class SystemObservation:
     allows_per_core_dvfs: bool = True
     cluster_ids: Sequence[int] = ()
     cluster_opp_tables: Sequence[OppTable] = ()
-    max_frequencies_khz: Sequence[int] = ()
 
     @property
     def num_cores(self) -> int:
@@ -103,10 +99,7 @@ class SystemObservation:
         domain's ceiling, which on homogeneous platforms is the one
         global table's.
         """
-        if self.max_frequencies_khz:
-            fmax = self.max_frequencies_khz[core_id]
-        else:
-            fmax = self.opp_table_of(core_id).max_frequency_khz
+        fmax = self.opp_table_of(core_id).max_frequency_khz
         return (
             self.per_core_load_percent[core_id]
             * self.frequencies_khz[core_id]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .battery import RailTopology
-from .core_state import TRANSITION_LATENCY_SECONDS, CoreState
+from .core_state import CoreState
 from .cpu_cluster import CpuCluster
 from .cpu_core import CpuCore
 from .opp import OppTable
@@ -37,15 +37,6 @@ from ..errors import HotplugError, PlatformError
 from ..units import require_fraction, require_positive
 
 __all__ = ["ClusterSpec", "CpuTopology"]
-
-#: Hotplug latencies, looked up once: onlining, and offlining an idle or
-#: an active core.
-_ONLINE_LATENCY = TRANSITION_LATENCY_SECONDS[(CoreState.OFFLINE, CoreState.IDLE)]
-_OFFLINE_LATENCY = {
-    False: TRANSITION_LATENCY_SECONDS[(CoreState.IDLE, CoreState.OFFLINE)],
-    True: TRANSITION_LATENCY_SECONDS[(CoreState.ACTIVE, CoreState.OFFLINE)],
-}
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -226,27 +217,18 @@ class CpuTopology:
         that is exactly how an energy-aware policy parks the big cluster.
         Onlined cores come up idle; offlined cores lose their busy time.
         """
-        online = self.online
-        if len(mask) != len(online):
+        if len(mask) != len(self._cores):
             raise HotplugError(
-                f"mask has {len(mask)} entries for a {len(online)}-core topology"
+                f"mask has {len(mask)} entries for a {len(self._cores)}-core topology"
             )
         if not mask[0]:
             raise HotplugError("core 0 is the boot core and cannot be offlined")
-        active = self.active
         latency = 0.0
-        for core_id, want in enumerate(mask):
-            if want:
-                if not online[core_id]:
-                    latency += _ONLINE_LATENCY
-                    online[core_id] = True
-                    self.transitions[core_id] += 1
-            elif online[core_id]:
-                latency += _OFFLINE_LATENCY[active[core_id]]
-                online[core_id] = False
-                active[core_id] = False
-                self.busy[core_id] = 0.0
-                self.transitions[core_id] += 1
+        for core, online in zip(self._cores, mask):
+            if online and not core.is_online:
+                latency += core.set_state(CoreState.IDLE)
+            elif not online and core.is_online:
+                latency += core.set_state(CoreState.OFFLINE)
         return latency
 
     def set_online_count(self, count: int) -> float:
@@ -340,11 +322,10 @@ class CpuTopology:
         Bringing an offline core back counts as one transition (the
         kernel stack zeroes the counters afterwards).
         """
-        for core_id, online in enumerate(self.online):
-            if not online:
-                self.transitions[core_id] += 1
+        for core in self._cores:
+            if not core.is_online:
+                core.set_state(CoreState.IDLE)
         count = len(self._cores)
-        self.online[:] = [True] * count
         self.active[:] = [False] * count
         self.frequency_khz[:] = [t.min_frequency_khz for t in self.opp_tables]
         self.busy[:] = [0.0] * count
