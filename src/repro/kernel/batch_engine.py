@@ -156,12 +156,9 @@ class _BatchContext:
         self.fmax = int(self.table.max_frequency_khz)
         self.fmin_f = float(self.fmin)
         self.fmax_f = float(self.fmax)
-        model = CpuPowerModel(platform_spec.power_params, self.table)
-        opps = [self.table.by_index(i) for i in range(self.n_opp)]
-        self.DYN = np.array([model.dynamic_power_mw(o) for o in opps])
-        self.STATIC = np.array([model.static_power_mw(o) for o in opps])
-        self.SPANF = np.array(
-            [self.table.span_fraction(o.frequency_khz) for o in opps]
+        terms = CpuPowerModel(platform_spec.power_params, self.table).opp_terms
+        self.DYN, self.STATIC, self.SPANF = (
+            np.array(column) for column in zip(*terms.values())
         )
         params = platform_spec.power_params
         self.ovh_base = params.cluster_overhead_base_mw

@@ -56,15 +56,14 @@ def _opp_options(spec: ClusterSpec) -> Tuple[np.ndarray, ...]:
     the same expression ``predict_cpu_mw`` uses, so a candidate's cost
     is exactly that model evaluated inline.
     """
-    model = CpuPowerModel(spec.power_params, spec.opp_table)
+    terms = CpuPowerModel(spec.power_params, spec.opp_table).opp_terms
     params = spec.power_params
-    opps = [spec.opp_table.by_index(i) for i in range(len(spec.opp_table))]
-    spans = [spec.opp_table.span_fraction(opp.frequency_khz) for opp in opps]
+    dynamic, static, spans = zip(*terms.values())
     return (
-        np.array([spec.ipc_scale * 1000.0 * opp.frequency_khz for opp in opps]),
-        np.array([opp.frequency_khz for opp in opps], dtype=np.int64),
-        np.array([model.dynamic_power_mw(opp) for opp in opps]),
-        np.array([model.static_power_mw(opp) for opp in opps]),
+        np.array([spec.ipc_scale * 1000.0 * frequency for frequency in terms]),
+        np.array(list(terms), dtype=np.int64),
+        np.array(dynamic),
+        np.array(static),
         np.array(
             [
                 params.cluster_overhead_base_mw + params.cluster_overhead_span_mw * span

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 from .opp import Opp, OppTable
 from ..errors import ConfigError
@@ -142,22 +143,27 @@ class CpuPowerModel:
     * :meth:`predict_total_mw` evaluates a hypothetical operating point
       ``(n cores, frequency, utilization)`` (used by MobiCore's
       operating-point optimizer, Eq. 10).
+
+    Attributes:
+        opp_terms: Read-only map from each OPP's frequency, in ascending
+            order, to its ``(dynamic_mw, static_mw, span_fraction)``: the
+            one-busy-core dynamic power, the static power and the span
+            fraction, computed once by the methods below -- the exact
+            floats a per-tick evaluation would produce.  The batch engine
+            and the energy-aware policy build their per-OPP arrays from it.
     """
 
     def __init__(self, params: PowerParams, opp_table: OppTable) -> None:
         self.params = params
         self.opp_table = opp_table
-        # Per OPP, the one-busy-core dynamic power, the static power and
-        # the span fraction, each computed once by the methods below: the
-        # exact floats a per-tick evaluation would produce.
-        self._opp_terms: Dict[int, Tuple[float, float, float]] = {
+        self.opp_terms: Mapping[int, Tuple[float, float, float]] = MappingProxyType({
             opp.frequency_khz: (
                 self.dynamic_power_mw(opp),
                 self.static_power_mw(opp),
                 opp_table.span_fraction(opp.frequency_khz),
             )
             for opp in opp_table
-        }
+        })
 
     # -- per-component terms ----------------------------------------------
 
@@ -212,7 +218,7 @@ class CpuPowerModel:
         online = topology.online
         frequency = topology.frequency_khz
         busy = topology.busy
-        terms = self._opp_terms
+        terms = self.opp_terms
         per_core: List[float] = []
         spans: List[float] = []
         busy_online: List[float] = []
@@ -267,7 +273,7 @@ class CpuPowerModel:
         if online_count < 0:
             raise ConfigError(f"online_count must be non-negative, got {online_count}")
         require_fraction(busy_fraction, "busy_fraction")
-        terms = self._opp_terms.get(frequency_khz)
+        terms = self.opp_terms.get(frequency_khz)
         if terms is None:
             self.opp_table.at(frequency_khz)  # raises OppError: not an OPP
         dynamic, static, freq_fraction = terms
