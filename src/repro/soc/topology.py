@@ -38,6 +38,7 @@ from ..units import require_fraction, require_positive
 
 __all__ = ["ClusterSpec", "CpuTopology"]
 
+
 @dataclass(frozen=True)
 class ClusterSpec:
     """Static description of one homogeneous frequency domain.
