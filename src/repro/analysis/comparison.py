@@ -2,10 +2,9 @@
 
 Every evaluation figure compares MobiCore against the Android default on
 the *same* workload.  :class:`PolicyComparison` runs both policies with
-the same seed (so stochastic workloads emit the same demand sequence),
-optionally over several seeds, and reports the paper's deltas: power
-saving, FPS ratio, frequency reduction, core-count difference, load
-difference.
+the same seed (so stochastic workloads emit the same demand sequence)
+and reports the paper's deltas: power saving, FPS ratio, frequency
+reduction, core-count difference, load difference.
 
 All sessions execute through a
 :class:`~repro.runner.runner.SessionRunner`, so a comparison built from
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,49 +244,6 @@ class PolicyComparison:
         config = self.config if seed is None else self.config.with_seed(seed)
         summaries = self._runner().run(self._pair(workload_factory, config))
         return self._rows(summaries)[0]
-
-    def compare_seeds(
-        self, workload_factory: FactoryLike, seeds: Sequence[int]
-    ) -> List[ComparisonRow]:
-        """Repeat the A/B run over several seeds (trial averaging).
-
-        All ``2 x len(seeds)`` sessions go to the runner as one batch, so
-        trials parallelise across seeds, not just across policies.
-        """
-        if not seeds:
-            raise ExperimentError("compare_seeds needs at least one seed")
-        specs: List[SessionSpec] = []
-        for seed in seeds:
-            specs.extend(self._pair(workload_factory, self.config.with_seed(seed)))
-        return self._rows(self._runner().run(specs))
-
-    def compare_matrix(
-        self,
-        workload_factories: Mapping[str, FactoryLike],
-        seeds: Sequence[int],
-    ) -> Dict[str, List[ComparisonRow]]:
-        """The full (workload x seed x policy) matrix as ONE runner batch.
-
-        This is how the evaluation figures execute: every session of the
-        matrix is independent, so a parallel runner saturates its workers
-        across the whole grid at once.  Returns rows keyed like the
-        input mapping, one row per seed, in seed order.
-        """
-        if not seeds:
-            raise ExperimentError("compare_matrix needs at least one seed")
-        if not workload_factories:
-            raise ExperimentError("compare_matrix needs at least one workload")
-        specs: List[SessionSpec] = []
-        for factory in workload_factories.values():
-            for seed in seeds:
-                specs.extend(self._pair(factory, self.config.with_seed(seed)))
-        summaries = self._runner().run(specs)
-        rows = self._rows(summaries)
-        per_workload = len(seeds)
-        return {
-            name: rows[i * per_workload : (i + 1) * per_workload]
-            for i, name in enumerate(workload_factories)
-        }
 
     @staticmethod
     def mean_power_saving(rows: Sequence[ComparisonRow]) -> float:

@@ -78,9 +78,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -289,24 +291,47 @@ def _cmd_specs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bindable(ref: FactoryRef, name: str) -> FactoryRef:
+    """*ref*, once its factory accepts the keywords it carries.
+
+    A policy with required parameters (``static``) cannot be named by
+    key alone: that is a usage error, raised before any session runs.
+    """
+    module, _, attr = ref.target.partition(":")
+    try:
+        inspect.signature(getattr(import_module(module), attr)).bind(**dict(ref.kwargs))
+    except TypeError as error:
+        raise ReproError(
+            f"policy {name!r} takes parameters no flag sets ({error}); "
+            f"give them as policy_params in a scenario file"
+        ) from None
+    return ref
+
+
 def _build_workload(description: str) -> FactoryRef:
-    """Parse a --workload string into a registered workload factory ref."""
+    """Parse a --workload string into a registered workload factory ref.
+
+    ``busyloop:<percent>`` and ``game:<title>`` carry a parameter; any
+    other string is a registered workload key (``game:subwaysurf``,
+    ``geekbench``...; see ``repro scenarios list``).
+    """
     kind, _, argument = description.partition(":")
     kind = kind.strip().lower()
+    key = description.strip().lower()
     if kind == "busyloop":
         level = float(argument) if argument else 50.0
         return workload_ref("busyloop", target_load_percent=level)
-    if kind == "game":
+    if kind == "game" and (not argument or key not in WORKLOAD_REGISTRY):
         if not argument:
             raise ReproError("game workload needs a title, e.g. game:Subway Surf")
         game_workload(argument)  # validate the title eagerly
         return workload_ref("game", title=argument)
-    if kind == "geekbench":
-        return workload_ref("geekbench")
-    raise ReproError(
-        f"unknown workload {description!r}; use busyloop:<percent>, "
-        f"game:<title>, or geekbench"
-    )
+    if key not in WORKLOAD_REGISTRY:
+        raise ReproError(
+            f"unknown workload {description!r}; use busyloop:<percent>, "
+            f"game:<title>, or one of: {', '.join(WORKLOAD_REGISTRY)}"
+        )
+    return workload_ref(key)
 
 
 def _compare_scenario(path: str) -> Scenario:
@@ -349,6 +374,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         candidate = policy_ref("mobicore", platform=phone)
         pin_uncore = args.pin_uncore
         faults = _load_fault_plan(args.faults)
+        candidate_name = "mobicore"
     spec = get_phone_spec(phone)  # validate the phone name eagerly
     runner = SessionRunner(
         jobs=args.jobs,
@@ -388,7 +414,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     print(f"workload: {row.workload}  platform: {spec.name}  "
           f"{config.duration_seconds:.0f}s @ seed {config.seed}\n")
-    print(render_table(("metric", "android", "mobicore"), rows))
+    print(render_table(("metric", "android", candidate_name), rows))
     print(f"\npower saving: {row.power_saving_percent:+.1f}%")
     if row.fps_ratio is not None:
         print(f"fps ratio:    {row.fps_ratio:.2f}")
@@ -399,19 +425,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _parse_policies(text: str, phone: str) -> List[Tuple[str, FactoryRef]]:
-    """Parse ``--policies android,mobicore`` into labelled registry refs."""
+    """Parse ``--policies android,mobicore`` into labelled registry refs.
+
+    Any registered policy key works; ``android`` and ``default`` name
+    ``android-default``, which is labelled ``android``.
+    """
     policies: List[Tuple[str, FactoryRef]] = []
     for name in (part.strip().lower() for part in text.split(",")):
         if not name:
             continue
-        if name in ("android", "android-default", "default"):
-            policies.append(("android", policy_ref("android-default")))
-        elif name == "mobicore":
-            policies.append(("mobicore", policy_ref("mobicore", platform=phone)))
-        else:
-            raise ReproError(
-                f"unknown policy {name!r}; --policies takes android and/or mobicore"
-            )
+        key = "android-default" if name in ("android", "default") else name
+        label = "android" if key == "android-default" else key
+        policies.append((label, _bindable(policy_ref(key, platform=phone), key)))
     if not policies:
         raise ReproError("--policies must name at least one policy")
     return policies
@@ -952,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--workload",
         default="busyloop:50",
-        help="busyloop:<percent> | game:<title> | geekbench",
+        help="busyloop:<percent> | game:<title> | a registered workload key",
     )
     compare.add_argument("--phone", default="Nexus 5", help="catalog phone")
     compare.add_argument("--duration", type=float, default=60.0, help="seconds")
@@ -992,8 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload",
         action="append",
         metavar="DESC",
-        help="busyloop:<percent> | game:<title> | geekbench; repeatable "
-        "(default: busyloop:50)",
+        help="busyloop:<percent> | game:<title> | a registered workload key; "
+        "repeatable (default: busyloop:50)",
     )
     trace_run.add_argument("--phone", default="Nexus 5", help="catalog phone")
     trace_run.add_argument("--duration", type=float, default=60.0, help="seconds")
@@ -1002,7 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_run.add_argument(
         "--policies",
         default="android,mobicore",
-        help="comma list of android and/or mobicore (default: both)",
+        help="comma list of registered policy keys, android meaning "
+        "android-default (default: android,mobicore)",
     )
     trace_run.add_argument(
         "--format",
@@ -1064,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_demo.add_argument(
         "--workload",
         default="busyloop:70",
-        help="busyloop:<percent> | game:<title> | geekbench",
+        help="busyloop:<percent> | game:<title> | a registered workload key",
     )
     faults_demo.add_argument("--phone", default="Nexus 5", help="catalog phone")
     faults_demo.add_argument("--duration", type=float, default=20.0, help="seconds")

@@ -17,7 +17,7 @@ from .hotplug import HotplugSubsystem
 from .cgroup import CpuBandwidthController
 from .sysfs import SysfsTree
 from .trace_buffer import TraceBuffer, sequential_sum
-from .tracing import TickRecord, TraceRecorder, TraceView
+from .tracing import TraceRecorder
 from .engine import KernelStack, Session, SessionResult
 
 __all__ = [
@@ -36,9 +36,7 @@ __all__ = [
     "HotplugSubsystem",
     "CpuBandwidthController",
     "SysfsTree",
-    "TickRecord",
     "TraceBuffer",
     "TraceRecorder",
-    "TraceView",
     "sequential_sum",
 ]

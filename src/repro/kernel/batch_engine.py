@@ -68,8 +68,8 @@ def batch_compatibility_key(spec: Any) -> Optional[tuple]:
     """Grouping key for specs that may share one :class:`BatchSession`.
 
     Returns ``None`` when *spec* cannot enter a batch at all: it is not
-    portable, it requests tracing or column retention (the batch writes
-    summaries, not live event streams), or it carries a fault plan
+    portable, it requests tracing (the batch writes summaries, not
+    live event streams), or it carries a fault plan
     (faults mutate mid-run state the vector program does not model).
     Otherwise returns a hashable key; two specs with equal keys run the
     same platform, uncore pinning, and tick/duration/warmup timing, so
@@ -77,7 +77,7 @@ def batch_compatibility_key(spec: Any) -> Optional[tuple]:
     and workload may all differ -- non-vectorizable members fall back to
     a scalar :class:`Session` *inside* the batch).
     """
-    if spec.trace is not None or spec.keep_columns:
+    if spec.trace is not None:
         return None
     if spec.faults is not None:
         return None
@@ -863,8 +863,8 @@ class BatchSession:
         keys = [batch_compatibility_key(spec) for spec in specs]
         if any(key is None for key in keys):
             raise BatchError(
-                "spec is not batch-compatible (traced, faulted, keep_columns, "
-                "or not portable); run it through the scalar engine"
+                "spec is not batch-compatible (traced, faulted, or not "
+                "portable); run it through the scalar engine"
             )
         if len(set(keys)) != 1:
             raise BatchError(
@@ -939,7 +939,7 @@ def _run_vector_group(
 ) -> List[Tuple[int, SessionSummary]]:
     """Run one policy-kind group through the vectorized tick loop.
 
-    The loop mirrors ``Session._step_core`` stage by stage -- demand,
+    The loop mirrors ``Session.step`` stage by stage -- demand,
     dispatch, accounting, power, thermal, trace, observe, decide, apply
     -- with every float expression in scalar operand order (see
     ``docs/NUMERICS.md`` for the catalogue of rules this relies on).

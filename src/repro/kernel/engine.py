@@ -43,7 +43,7 @@ from .cpuidle import CpuidleStats
 from .hotplug import HotplugSubsystem
 from .procstat import ProcStat
 from .scheduler import LoadBalancingScheduler
-from .tracing import TickRecord, TraceRecorder
+from .tracing import TraceRecorder
 from ..config import SimulationConfig
 from ..errors import ExperimentError
 from ..obs.bus import NULL_TRACEPOINT, TracepointBus
@@ -67,7 +67,7 @@ class SessionResult:
     Attributes:
         platform_name / policy_name / workload_name: Identification.
         config: The configuration the session ran with.
-        trace: Per-tick records (power, frequency, cores, load, FPS...).
+        trace: Per-tick columns (power, frequency, cores, load, FPS...).
         workload_metrics: The workload's own end-of-session numbers.
         cpuidle: Per-core state residency.
         dvfs_transitions: Frequency changes applied over the session.
@@ -323,23 +323,14 @@ class Session:
         )
         self._tick = 0
 
-    def step(self) -> TickRecord:
+    def step(self) -> None:
         """Execute one tick; auto-starts a session not yet started.
 
-        Returns the tick's trace record (materialized from the columnar
-        buffer; :meth:`run` drives :meth:`_step_core` directly and never
-        pays for record objects).  Raises
+        The tick's values land in the trace's columns.  Per-core state
+        is read from and written to the topology's lists; nothing built
+        here is constant over the session.  Raises
         :class:`~repro.errors.ExperimentError` when stepping past the
         configured duration.
-        """
-        self._step_core()
-        return self._trace.latest()
-
-    def _step_core(self) -> None:
-        """Execute one tick, recording columns only (no record objects).
-
-        Per-core state is read from and written to the topology's lists;
-        nothing built here is constant over the session.
         """
         if self._trace is None:
             self.start()
@@ -498,9 +489,9 @@ class Session:
 
         with span("execute"):
             self.start()
-            step_core = self._step_core
+            step = self.step
             for _ in range(self._total_ticks):
-                step_core()
+                step()
         return self.result()
 
     def result(self) -> SessionResult:

@@ -7,10 +7,8 @@ fairly allocate the available CPU resources and to balance the workload
 among cores".  We reproduce that behaviour with a longest-processing-time
 greedy balancer:
 
-* single-thread work goes, whole, to the core with the most remaining
+* each task's work goes, whole, to the core with the most remaining
   capacity (a thread can never use more than one core per tick);
-* parallel work is divided over online cores proportionally to their
-  remaining capacity (water filling);
 * work that does not fit carries over as per-task backlog, draining
   first on later ticks; backlog beyond a cap is dropped and counted
   (for games this is the mechanism behind lost frames).
@@ -154,15 +152,13 @@ class LoadBalancingScheduler:
         remaining = list(capacities)
         assigned: List[List[Tuple[int, float]]] = [[] for _ in online]
 
-        # Single-thread work first, largest first, to the emptiest core
-        # (the first one on ties): a thread is bound to one core per tick.
-        serial = [task_id for task_id in totals if not tasks[task_id].parallel]
-        parallel = [task_id for task_id in totals if tasks[task_id].parallel]
+        # Largest task first, to the emptiest core (the first one on
+        # ties): a thread is bound to one core per tick.
+        order = sorted(totals, key=totals.__getitem__, reverse=True)
         # ``max(0.0, x)`` and ``min(a, b)`` are spelled out below as
         # conditionals with the builtins' exact tie and NaN behaviour.
-        serial.sort(key=totals.__getitem__, reverse=True)
         last_core = self._last_core
-        for task_id in serial:
+        for task_id in order:
             cycles = totals[task_id]
             slot = remaining.index(max(remaining))
             if cycles > 0:
@@ -176,22 +172,6 @@ class LoadBalancingScheduler:
                 if tp.enabled:
                     tp.emit(task_id=task_id, from_core=previous, to_core=target)
             last_core[task_id] = target
-
-        # Parallel work divides over whatever capacity is left (water
-        # fill); with none left, the whole item queues on the emptiest
-        # core so it is accounted as that task's leftover.
-        for task_id in parallel:
-            cycles = totals[task_id]
-            total_free = sum(remaining)
-            if total_free > 0:
-                for slot, free in enumerate(remaining):
-                    share = cycles * free / total_free
-                    if share > 0:
-                        assigned[slot].append((task_id, share))
-                        left = free - share
-                        remaining[slot] = left if left > 0.0 else 0.0
-            elif cycles > 0:
-                assigned[remaining.index(max(remaining))].append((task_id, cycles))
 
         # Each core runs its assignments in order; old work drains first.
         busy_cycles = [0.0] * len(frequency)

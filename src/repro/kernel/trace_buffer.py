@@ -1,9 +1,7 @@
 """Columnar tick storage: the struct-of-arrays core of the trace spine.
 
-The per-tick trace used to be a Python list of frozen ``TickRecord``
-dataclasses — millions of short-lived objects per long session, re-walked
-by every summary statistic.  :class:`TraceBuffer` replaces that hot path
-with preallocated, growable numpy columns:
+:class:`TraceBuffer` stores a session's ticks in preallocated, growable
+numpy columns:
 
 * one ``(capacity, N_SCALARS)`` float64 block for the scalar columns
   (tick, time, utilization, quota, power, CPU power, temperature,
@@ -18,21 +16,15 @@ numpy stores.  Staging copies every element out of the caller's
 sequences immediately, so a caller mutating its scratch lists after the
 tick can never alter recorded history.
 
-Reductions read the columns directly.  :func:`sequential_sum` is the
-bridge to the legacy pure-Python statistics: it sums left to right with
-the same per-step rounding as ``sum()``, so every columnar summary is
-**bit-identical** to the record-by-record implementation it replaced
+Reductions read the columns directly.  :func:`sequential_sum` sums left
+to right with the same per-step rounding as ``sum()``, so every
+columnar summary is **bit-identical** to a record-by-record Python sum
 (numpy's pairwise ``ndarray.sum`` would drift in the last ulps).
-
-The whole buffer serialises to a compact ``.npz`` blob
-(:meth:`TraceBuffer.to_npz_bytes`) — the optional column payload of the
-version-3 result cache.
 """
 
 from __future__ import annotations
 
-import io
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,9 +53,6 @@ SCALAR_COLUMNS = (
 _COLUMN_INDEX = {name: i for i, name in enumerate(SCALAR_COLUMNS)}
 _N_SCALARS = len(SCALAR_COLUMNS)
 _NAN = float("nan")
-
-#: Names of the per-core (2-D) columns.
-ARRAY_COLUMNS = ("frequencies_khz", "online_mask", "busy_fractions")
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -346,7 +335,7 @@ class TraceBuffer:
         """
         return self._derive()["mean_online_frequency_khz"][start:]
 
-    # -- row access (for lazy record views) -------------------------------
+    # -- row access -------------------------------------------------------
 
     def row(self, index: int) -> Tuple:
         """One tick's raw values, in :meth:`append` argument order.
@@ -384,53 +373,3 @@ class TraceBuffer:
         self.flush()
         for index in range(start, self._n):
             yield self.row(index)
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_npz_bytes(self) -> bytes:
-        """The trimmed columns as a compressed ``.npz`` blob (cache v3 payload)."""
-        self.flush()
-        stream = io.BytesIO()
-        np.savez_compressed(
-            stream,
-            scalars=self._scalars[: self._n]
-            if self._scalars is not None
-            else np.empty((0, len(SCALAR_COLUMNS))),
-            frequencies_khz=self.frequencies(),
-            online_mask=self.online(),
-            busy_fractions=self.busy(),
-        )
-        return stream.getvalue()
-
-    @classmethod
-    def from_npz_bytes(cls, blob: Union[bytes, bytearray]) -> "TraceBuffer":
-        """Rebuild a buffer from :meth:`to_npz_bytes` output.
-
-        Raises :class:`~repro.errors.TraceError` when the blob is not a
-        loadable column archive (the cache quarantines such entries).
-        """
-        try:
-            with np.load(io.BytesIO(bytes(blob))) as archive:
-                scalars = np.asarray(archive["scalars"], dtype=np.float64)
-                frequencies = np.asarray(archive["frequencies_khz"], dtype=np.int64)
-                online = np.asarray(archive["online_mask"], dtype=bool)
-                busy = np.asarray(archive["busy_fractions"], dtype=np.float64)
-        except (KeyError, ValueError, OSError, EOFError) as error:
-            raise TraceError(f"unreadable column blob: {error}") from error
-        rows = len(scalars)
-        if not (len(frequencies) == len(online) == len(busy) == rows):
-            raise TraceError("column blob blocks disagree on tick count")
-        if scalars.shape[1:] != (len(SCALAR_COLUMNS),):
-            raise TraceError(
-                f"column blob has {scalars.shape[1:]} scalar columns, "
-                f"expected {len(SCALAR_COLUMNS)}"
-            )
-        cores = frequencies.shape[1] if rows else 0
-        buffer = cls(num_cores=cores, capacity=max(rows, 1))
-        buffer._scalars[:rows] = scalars
-        buffer._frequencies[:rows] = frequencies
-        buffer._online[:rows] = online
-        buffer._busy[:rows] = busy
-        buffer._n = rows
-        buffer._last_tick = int(scalars[-1, 0]) if rows else None
-        return buffer

@@ -77,9 +77,8 @@ def summarize(result: SessionResult) -> SessionSummary:
     """Reduce a finished session to its summary row.
 
     All statistics are vectorized reductions over the trace's columnar
-    buffer — no :class:`~repro.kernel.tracing.TickRecord` objects are
-    materialized — and remain bit-identical to the per-record sums they
-    replaced (see :func:`~repro.kernel.trace_buffer.sequential_sum`).
+    buffer, bit-identical to left-to-right Python sums (see
+    :func:`~repro.kernel.trace_buffer.sequential_sum`).
     """
     trace = result.trace
     loads = trace.buffer.scalar("global_util_percent", trace.warmup_ticks)

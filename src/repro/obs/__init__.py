@@ -13,8 +13,8 @@ substrate of the simulation:
 * :mod:`repro.obs.perfetto` — Chrome-trace/Perfetto JSON export
   (loadable in ``chrome://tracing`` / ui.perfetto.dev);
 * :mod:`repro.obs.export` — JSONL/CSV export and trace-file summaries;
-* :mod:`repro.obs.columnar` — per-tick CSV/JSONL/Chrome-counter export
-  streamed straight from a session's columnar trace buffer;
+* :mod:`repro.obs.columnar` — the per-tick CSV export, streamed
+  straight from a session's columnar trace buffer;
 * :mod:`repro.obs.debugfs` — ``/sys/kernel/debug/tracing``-style knobs
   over a :class:`~repro.kernel.sysfs.SysfsTree`;
 * :mod:`repro.obs.metrics_plane` — the host-side ops plane: a
@@ -25,13 +25,7 @@ substrate of the simulation:
 """
 
 from .bus import NULL_TRACEPOINT, Tracepoint, TracepointBus
-from .columnar import (
-    TICK_CSV_COLUMNS,
-    columns_chrome_events,
-    columns_to_chrome_trace,
-    ticks_to_csv,
-    ticks_to_jsonl,
-)
+from .columnar import TICK_CSV_COLUMNS, ticks_to_csv
 from .debugfs import TRACING_ROOT, register_tracing_knobs
 from .events import (
     EVENT_TYPES,
@@ -84,9 +78,6 @@ __all__ = [
     "event_to_dict",
     "TICK_CSV_COLUMNS",
     "ticks_to_csv",
-    "ticks_to_jsonl",
-    "columns_chrome_events",
-    "columns_to_chrome_trace",
     "count_events",
     "events_to_csv",
     "events_to_jsonl",

@@ -5,10 +5,10 @@ Workers reduce a finished session to a
 :class:`~repro.metrics.summary.SessionSummary` before it ever reaches the
 cache, so entries are small scalar rows, not multi-megabyte traces.
 JSON round-trips Python floats exactly (shortest-repr parsing), so a
-cache hit reproduces the summary bit for bit.  A ``keep_columns`` spec
-additionally stores the session's columnar trace as a compressed
-``key.npz`` blob next to the entry, referenced (with its own sha256)
-from the entry document — format version 3.
+cache hit reproduces the summary bit for bit.  A format-3 entry that
+an older writer gave a compressed ``key.npz`` column blob (referenced,
+with its own sha256, from the entry document) still reads as a verified
+hit, and the blob moves with its entry into quarantine.
 
 Writes are atomic (temp file + rename) so parallel workers racing on the
 same key at worst redo the work, never corrupt an entry.  Reads verify a
@@ -159,7 +159,7 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def columns_path(self, key: str) -> Path:
-        """Where *key*'s optional columnar ``.npz`` trace blob lives."""
+        """Where *key*'s ``.npz`` column blob lives, if an older writer left one."""
         return self.root / f"{key}.npz"
 
     @property
@@ -257,27 +257,13 @@ class ResultCache:
             ) from error
         return target
 
-    def store(
-        self,
-        key: str,
-        summary: SessionSummary,
-        spec_payload: dict,
-        columns: Optional[bytes] = None,
-    ) -> None:
-        """Atomically persist *summary* (and optional columns) under *key*.
+    def store(self, key: str, summary: SessionSummary, spec_payload: dict) -> None:
+        """Atomically persist *summary* under *key*.
 
         The spec payload is stored alongside for debuggability (a human
         can read what produced an entry); only the key is ever matched.
         The stored checksum covers the summary payload, so later reads
         can tell damage from a legitimate entry.
-
-        *columns*, when given, is a columnar trace blob
-        (:meth:`~repro.kernel.trace_buffer.TraceBuffer.to_npz_bytes`)
-        written to :meth:`columns_path`; the entry records its sha256, so
-        :meth:`load_columns` can verify the blob before trusting it.
-        The blob lands on disk *before* the entry that references it, so
-        a crash between the two writes leaves an orphan blob (harmless),
-        never a dangling reference.
         """
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -291,13 +277,6 @@ class ResultCache:
             "summary": payload,
             "checksum": summary_checksum(payload),
         }
-        if columns is not None:
-            self._write_atomic(self.columns_path(key), columns, key)
-            document["columns"] = {
-                "file": self.columns_path(key).name,
-                "bytes": len(columns),
-                "checksum": hashlib.sha256(columns).hexdigest(),
-            }
         text = json.dumps(document, sort_keys=True)
         self._write_atomic(self.path(key), text.encode("utf-8"), key)
         if self.on_store is not None:
@@ -356,70 +335,6 @@ class ResultCache:
                     f"cannot write cache entry {key}: {error}"
                 ) from error
             raise
-
-    # -- columnar trace blobs ---------------------------------------------
-
-    def has_columns(self, key: str) -> bool:
-        """True when *key*'s entry references a column blob that exists.
-
-        A cheap existence probe (no checksum verification) the runner
-        uses to decide whether a ``keep_columns`` spec can be served
-        from cache or must re-execute.
-        """
-        entry = self.path(key)
-        try:
-            with open(entry, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            return False
-        if not isinstance(document, dict) or "columns" not in document:
-            return False
-        return self.columns_path(key).is_file()
-
-    def load_columns(self, key: str) -> Optional[bytes]:
-        """The verified column blob for *key*, or ``None``.
-
-        ``None`` covers every non-hit: no entry, an entry without a
-        column reference, or a missing blob file.  A blob that exists
-        but fails its recorded sha256 is **quarantined** (moved aside
-        like a corrupt entry) and also reported as ``None`` — the caller
-        re-executes, exactly like the summary corruption path.
-        """
-        entry = self.path(key)
-        try:
-            with open(entry, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except ValueError:
-            return None
-        except OSError as error:
-            raise CacheError(f"cannot read cache entry {key}: {error}") from error
-        if not isinstance(document, dict):
-            return None
-        meta = document.get("columns")
-        if not isinstance(meta, dict):
-            return None
-        try:
-            with open(self.columns_path(key), "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError as error:
-            raise CacheError(f"cannot read cache columns {key}: {error}") from error
-        if hashlib.sha256(blob).hexdigest() != meta.get("checksum"):
-            source = self.columns_path(key)
-            try:
-                self.quarantine_root.mkdir(parents=True, exist_ok=True)
-                os.replace(source, self.quarantine_root / source.name)
-            except FileNotFoundError:
-                pass
-            except OSError as error:
-                raise CacheError(
-                    f"cannot quarantine cache columns {key}: {error}"
-                ) from error
-            return None
-        return blob
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).is_file()

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .cache import ResultCache
@@ -101,9 +101,6 @@ class SpecExecution:
             (trimmed to recorded ticks).
         peak_recorder_bytes: Bytes the recorder's preallocated column
             blocks occupied — the spec's peak trace-memory footprint.
-        columns: The session's columnar trace as a compressed ``.npz``
-            blob, only when the spec set ``keep_columns`` (the runner
-            persists it into the version-3 cache entry).
         phase_seconds: Wall seconds per execution phase (``compile``,
             ``execute``, ``summarize``…) from the worker's span
             profiler — the driver folds these into its own profiler and
@@ -120,7 +117,6 @@ class SpecExecution:
     worker_pid: int = 0
     trace_bytes: int = 0
     peak_recorder_bytes: int = 0
-    columns: Optional[bytes] = None
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     fault_firings: Dict[str, int] = field(default_factory=dict)
 
@@ -132,8 +128,8 @@ def execute_spec_full(spec: SessionSpec) -> SpecExecution:
     in-process execution path, so serial and parallel runs share code.
 
     Installs a fresh ambient span profiler around the execution, so the
-    phase breakdown (``compile`` / ``execute`` / ``summarize`` /
-    ``cache.serialize``) ships back on the result for the driver to
+    phase breakdown (``compile`` / ``execute`` / ``summarize``) ships
+    back on the result for the driver to
     aggregate — a handful of ``perf_counter`` calls per spec, cheap
     enough to leave always on.
     """
@@ -157,10 +153,6 @@ def execute_spec_full(spec: SessionSpec) -> SpecExecution:
         with profiler.span("summarize"):
             summary = summarize(result)
         buffer = result.trace.buffer
-        columns = None
-        if spec.keep_columns:
-            with profiler.span("cache.serialize"):
-                columns = buffer.to_npz_bytes()
     finally:
         set_profiler(previous)
     return SpecExecution(
@@ -172,7 +164,6 @@ def execute_spec_full(spec: SessionSpec) -> SpecExecution:
         worker_pid=os.getpid(),
         trace_bytes=buffer.nbytes,
         peak_recorder_bytes=buffer.capacity_bytes,
-        columns=columns,
         phase_seconds=profiler.totals(),
         fault_firings=session.fault_firings,
     )
@@ -601,14 +592,6 @@ class SessionRunner:
                 # Traced specs bypass memo/cache/alias: only a real
                 # execution produces the event stream.
                 continue
-            if spec.keep_columns and (
-                self._cache is None or not self._cache.has_columns(key)
-            ):
-                # A column-keeping spec is only served from cache when the
-                # entry already carries its blob; otherwise it re-executes
-                # (and the execution stores summary + columns together).
-                batch.origins.setdefault(key, row.index)
-                continue
             if key in batch.origins:
                 # Duplicate spec within the batch: simulate once, copy after.
                 row.route = "alias"
@@ -777,9 +760,7 @@ class SessionRunner:
             return
         batch.report.summaries[index] = result.summary
         batch.report.errors.pop(index, None)
-        # The column blob is persisted below; the reduction at batch end
-        # must not hold every spec's blob until then.
-        batch.executions[index] = replace(result, columns=None)
+        batch.executions[index] = result
         if row.attempts > 1:
             row.escalate("retried")
         batch.beat(
@@ -805,12 +786,7 @@ class SessionRunner:
         self._memo[row.key] = result.summary
         if self._cache is not None:
             with self.span_profiler.span("cache.write"):
-                self._cache.store(
-                    row.key,
-                    result.summary,
-                    spec.cache_payload(),
-                    columns=result.columns,
-                )
+                self._cache.store(row.key, result.summary, spec.cache_payload())
 
     @staticmethod
     def _resolve_aliases(batch: _Batch) -> None:

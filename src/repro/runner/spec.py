@@ -51,9 +51,10 @@ __all__ = [
 KEY_SCHEMA_VERSION = 2
 
 #: Version of the on-disk *entry file* format.  Version 2 added the
-#: entry checksum and the optional fault plan; version 3 adds the
-#: optional columnar ``.npz`` trace blob next to the summary.  Readers
-#: migrate transparently: a version-2 entry is still a verified hit.
+#: entry checksum and the optional fault plan; version 3 allowed an
+#: optional columnar ``.npz`` trace blob next to the summary, which this
+#: writer never adds.  Readers migrate transparently: a version-2 entry
+#: is still a verified hit.
 CACHE_FORMAT_VERSION = 3
 
 #: Argument types a portable (hashable, picklable) ref may carry.
@@ -199,11 +200,6 @@ class SessionSpec:
             computes, so — unlike ``trace`` — the plan **is** part of the
             cache identity: a faulted spec lives at a different content
             address than its clean twin.
-        keep_columns: Ask the runner to persist the session's columnar
-            trace (a compact ``.npz`` blob) next to the cached summary.
-            Like ``trace``, this is pure observation and **not** part of
-            the cache identity — but a spec whose entry lacks a column
-            blob re-executes, so asking for columns always yields them.
     """
 
     platform: PlatformLike
@@ -214,7 +210,6 @@ class SessionSpec:
     label: str = ""
     trace: Optional[TraceRequest] = None
     faults: Optional[FaultPlan] = None
-    keep_columns: bool = False
 
     @property
     def is_portable(self) -> bool:

@@ -9,7 +9,7 @@ axis name to value list.  :meth:`ScenarioMatrix.expand` walks the
 cartesian product with the **last axis fastest** (``itertools.product``
 order), so a matrix whose final axis is ``policy`` yields
 baseline/candidate adjacent — exactly the ordering
-``PolicyComparison.compare_matrix`` folds into comparison rows.
+:func:`~repro.analysis.comparison.comparison_rows` folds into rows.
 
 Axis vocabulary:
 

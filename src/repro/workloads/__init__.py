@@ -2,27 +2,19 @@
 
 * :class:`BusyLoopApp` -- the paper's in-house kernel application
   (configurable busy loops, no memory accesses, ~40 ms idle period).
-* synthetic patterns (step / ramp / sine / bursts) for controlled tests.
+* synthetic patterns (constant / step / sine) for controlled tests.
 * :class:`GeekbenchWorkload` -- a GeekBench-4-like phased benchmark
   producing a score.
 * the five game workloads of the evaluation section, built on a frame
   pipeline that measures FPS.
-* demand-trace record/replay.
 """
 
 from .base import Workload, WorkloadContext
 from .busyloop import BusyLoopApp
-from .synthetic import (
-    ConstantWorkload,
-    StepWorkload,
-    RampWorkload,
-    SineWorkload,
-    BurstWorkload,
-)
+from .synthetic import ConstantWorkload, StepWorkload, SineWorkload
 from .frames import FramePipeline
 from .geekbench import GeekbenchWorkload, GeekbenchPhase
 from .games import GameProfile, GameWorkload, GAME_PROFILES, game_workload
-from .traces import DemandTrace, TraceWorkload
 
 __all__ = [
     "Workload",
@@ -30,9 +22,7 @@ __all__ = [
     "BusyLoopApp",
     "ConstantWorkload",
     "StepWorkload",
-    "RampWorkload",
     "SineWorkload",
-    "BurstWorkload",
     "FramePipeline",
     "GeekbenchWorkload",
     "GeekbenchPhase",
@@ -40,6 +30,4 @@ __all__ = [
     "GameWorkload",
     "GAME_PROFILES",
     "game_workload",
-    "DemandTrace",
-    "TraceWorkload",
 ]

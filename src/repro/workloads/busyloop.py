@@ -78,7 +78,7 @@ class BusyLoopApp(Workload):
         super().prepare(context)
         threads = self.num_threads if self.num_threads > 0 else context.num_cores
         self._tasks = [
-            Task(task_id=i, name=f"busyloop-{i}", parallel=False) for i in range(threads)
+            Task(task_id=i, name=f"busyloop-{i}") for i in range(threads)
         ]
         self._executed_cycles = 0.0
 

@@ -101,9 +101,9 @@ class GameWorkload(Workload):
     def prepare(self, context: WorkloadContext) -> None:
         super().prepare(context)
         self.pipeline.reset()
-        self._render_task = Task(task_id=0, name=f"{self.name}-render", parallel=False)
+        self._render_task = Task(task_id=0, name=f"{self.name}-render")
         self._worker_tasks = [
-            Task(task_id=i + 1, name=f"{self.name}-worker{i}", parallel=False)
+            Task(task_id=i + 1, name=f"{self.name}-worker{i}")
             for i in range(self.profile.worker_count)
         ]
         self._worker_levels = [

@@ -109,7 +109,7 @@ class GeekbenchWorkload(Workload):
     def prepare(self, context: WorkloadContext) -> None:
         super().prepare(context)
         self._tasks = [
-            Task(task_id=i, name=f"gb4-thread-{i}", parallel=False)
+            Task(task_id=i, name=f"gb4-thread-{i}")
             for i in range(context.num_cores)
         ]
         self._effective_cycles = 0.0

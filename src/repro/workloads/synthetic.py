@@ -21,9 +21,7 @@ __all__ = [
     "SyntheticUtilizationWorkload",
     "ConstantWorkload",
     "StepWorkload",
-    "RampWorkload",
     "SineWorkload",
-    "BurstWorkload",
 ]
 
 
@@ -39,7 +37,7 @@ class SyntheticUtilizationWorkload(Workload):
         super().prepare(context)
         threads = self.num_threads if self.num_threads > 0 else context.num_cores
         self._tasks = [
-            Task(task_id=i, name=f"{self.name}-{i}", parallel=False)
+            Task(task_id=i, name=f"{self.name}-{i}")
             for i in range(threads)
         ]
 
@@ -100,28 +98,6 @@ class StepWorkload(SyntheticUtilizationWorkload):
         return self.steps[-1][1]
 
 
-class RampWorkload(SyntheticUtilizationWorkload):
-    """Linear ramp from *start* to *end* percent over *ramp_seconds*, then hold."""
-
-    def __init__(
-        self, start_percent: float, end_percent: float, ramp_seconds: float,
-        num_threads: int = 0,
-    ) -> None:
-        super().__init__(num_threads)
-        require_percent(start_percent, "start_percent")
-        require_percent(end_percent, "end_percent")
-        if ramp_seconds <= 0:
-            raise WorkloadError("ramp_seconds must be positive")
-        self.start_percent = start_percent
-        self.end_percent = end_percent
-        self.ramp_seconds = ramp_seconds
-        self.name = f"ramp({start_percent:.0f}->{end_percent:.0f}%)"
-
-    def level_percent(self, tick: int) -> float:
-        progress = min(tick * self.context.dt_seconds / self.ramp_seconds, 1.0)
-        return self.start_percent + (self.end_percent - self.start_percent) * progress
-
-
 class SineWorkload(SyntheticUtilizationWorkload):
     """Sinusoidal load around a mean: smooth periodic dynamics."""
 
@@ -143,48 +119,3 @@ class SineWorkload(SyntheticUtilizationWorkload):
     def level_percent(self, tick: int) -> float:
         phase = 2.0 * math.pi * tick * self.context.dt_seconds / self.period_seconds
         return self.mean_percent + self.amplitude_percent * math.sin(phase)
-
-
-class BurstWorkload(SyntheticUtilizationWorkload):
-    """A base load with random rectangular bursts (Markov on/off).
-
-    Each tick, an inactive burst starts with probability
-    ``burst_start_prob`` and then lasts a geometric number of ticks with
-    mean ``mean_burst_ticks``.  This is the "sudden change in workload"
-    dynamic the paper says prior schemes react too slowly to
-    (section 1.3).
-    """
-
-    def __init__(
-        self,
-        base_percent: float,
-        burst_percent: float,
-        burst_start_prob: float = 0.05,
-        mean_burst_ticks: int = 10,
-        num_threads: int = 0,
-    ) -> None:
-        super().__init__(num_threads)
-        require_percent(base_percent, "base_percent")
-        require_percent(burst_percent, "burst_percent")
-        if not 0.0 <= burst_start_prob <= 1.0:
-            raise WorkloadError("burst_start_prob must be in [0, 1]")
-        if mean_burst_ticks < 1:
-            raise WorkloadError("mean_burst_ticks must be >= 1")
-        self.base_percent = base_percent
-        self.burst_percent = burst_percent
-        self.burst_start_prob = burst_start_prob
-        self.mean_burst_ticks = mean_burst_ticks
-        self.name = f"burst({base_percent:.0f}|{burst_percent:.0f}%)"
-        self._in_burst = False
-
-    def prepare(self, context: WorkloadContext) -> None:
-        super().prepare(context)
-        self._in_burst = False
-
-    def level_percent(self, tick: int) -> float:
-        if self._in_burst:
-            if self.rng.random() < 1.0 / self.mean_burst_ticks:
-                self._in_burst = False
-        elif self.rng.random() < self.burst_start_prob:
-            self._in_burst = True
-        return self.burst_percent if self._in_burst else self.base_percent

@@ -11,13 +11,7 @@ from repro.analysis.report import (
     render_series,
     render_table,
 )
-from repro.analysis.sweep import (
-    core_count_sweep,
-    frequency_sweep,
-    run_session,
-    summary_columns,
-    utilization_sweep,
-)
+from repro.analysis.sweep import core_count_sweep, run_session, utilization_sweep
 from repro.config import SimulationConfig
 from repro.core.mobicore import MobiCorePolicy
 from repro.errors import ExperimentError
@@ -42,13 +36,6 @@ class TestSweeps:
         with pytest.raises(ExperimentError):
             utilization_sweep(spec, 1, 300_000, [], CFG)
 
-    def test_frequency_sweep_monotone(self, spec):
-        summaries = frequency_sweep(
-            spec, 1, [300_000, 960_000, 2_265_600], 100.0, CFG
-        )
-        powers = [s.mean_power_mw for s in summaries]
-        assert powers == sorted(powers)
-
     def test_core_count_sweep_monotone(self, spec):
         summaries = core_count_sweep(spec, [1, 2, 4], 960_000, 100.0, CFG)
         powers = [s.mean_power_mw for s in summaries]
@@ -59,28 +46,6 @@ class TestSweeps:
         first = run_session(spec, BusyLoopApp(100.0), StaticPolicy(4, 2_265_600), CFG)
         second = run_session(spec, BusyLoopApp(100.0), StaticPolicy(4, 2_265_600), CFG)
         assert first.trace.to_csv() == second.trace.to_csv()
-
-
-class TestSummaryColumns:
-    def test_columns_align_with_summary_rows(self, spec):
-        summaries = frequency_sweep(spec, 1, [300_000, 960_000], 100.0, CFG)
-        columns = summary_columns(summaries)
-        assert columns["mean_power_mw"].tolist() == [
-            s.mean_power_mw for s in summaries
-        ]
-        assert all(len(column) == len(summaries) for column in columns.values())
-
-    def test_fps_none_becomes_nan(self, spec):
-        import numpy as np
-
-        summaries = frequency_sweep(spec, 1, [960_000], 100.0, CFG)
-        assert summaries[0].mean_fps is None  # busyloop reports no frames
-        column = summary_columns(summaries, fields=("mean_fps",))["mean_fps"]
-        assert np.isnan(column[0])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ExperimentError):
-            summary_columns([])
 
 
 class TestRatio:
@@ -125,20 +90,15 @@ class TestComparison:
         assert 0 < row.fps_ratio <= 1.1
 
     def test_seeds_vary_results(self, comparison):
-        rows = comparison.compare_seeds(lambda: game_workload("Badland"), [1, 2])
-        assert len(rows) == 2
+        rows = [comparison.compare(lambda: game_workload("Badland"), seed) for seed in (1, 2)]
         assert rows[0].baseline.mean_power_mw != rows[1].baseline.mean_power_mw
 
     def test_mean_power_saving(self, comparison):
-        rows = comparison.compare_seeds(lambda: BusyLoopApp(30.0), [1, 2])
+        rows = [comparison.compare(lambda: BusyLoopApp(30.0), seed) for seed in (1, 2)]
         mean = PolicyComparison.mean_power_saving(rows)
         assert mean == pytest.approx(
             sum(r.power_saving_percent for r in rows) / 2
         )
-
-    def test_empty_seeds_rejected(self, comparison):
-        with pytest.raises(ExperimentError):
-            comparison.compare_seeds(lambda: BusyLoopApp(10.0), [])
 
 
 class TestReport:

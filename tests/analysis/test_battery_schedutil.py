@@ -1,40 +1,10 @@
-"""Battery-life projection and the schedutil extension baseline."""
+"""The schedutil extension baseline."""
 
 import pytest
 
-from repro.analysis.battery import (
-    NEXUS5_BATTERY,
-    BatterySpec,
-    battery_life_hours,
-    extra_minutes,
-)
-from repro.errors import ConfigError, GovernorError
+from repro.errors import GovernorError
 from repro.governors.base import GovernorInput
 from repro.governors.schedutil import SchedutilGovernor
-
-
-class TestBattery:
-    def test_nexus5_energy(self):
-        assert NEXUS5_BATTERY.energy_mwh == pytest.approx(2300 * 3.8 * 0.95)
-
-    def test_life_hours(self):
-        battery = BatterySpec(1000.0, nominal_voltage=4.0, usable_fraction=1.0)
-        assert battery_life_hours(400.0, battery) == pytest.approx(10.0)
-
-    def test_extra_minutes_sign(self):
-        assert extra_minutes(2500.0, 2400.0) > 0
-        assert extra_minutes(2400.0, 2500.0) < 0
-
-    def test_extra_minutes_gaming_scale(self):
-        """A 5% saving on a ~2.5 W gaming session buys ~10 minutes."""
-        gained = extra_minutes(2500.0, 2375.0)
-        assert 5.0 < gained < 25.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            BatterySpec(1000.0, usable_fraction=0.0)
-        with pytest.raises(Exception):
-            battery_life_hours(0.0)
 
 
 def observe(opp_table, load, current):

@@ -1,21 +1,18 @@
 """Analysis constructors that read an experiment store instead of running.
 
-``comparison_rows_from_store`` and ``summary_columns_from_store`` must
-reproduce exactly what the live path computed: the store round-trips
-summaries bit-identically, so derived deltas and columns are equal, not
-merely close.
+``comparison_rows_from_store`` must reproduce exactly what the live path
+computed: the store round-trips summaries bit-identically, so derived
+deltas are equal, not merely close.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.comparison import PolicyComparison, comparison_rows_from_store
-from repro.analysis.sweep import summary_columns, summary_columns_from_store
 from repro.config import SimulationConfig
 from repro.errors import ExperimentError
 from repro.runner import SessionRunner
 from repro.scenario import policy_ref, workload_ref
-from repro.store import ExperimentStore, StoreQuery
+from repro.store import ExperimentStore
 
 CFG = SimulationConfig(duration_seconds=2.0, seed=0, warmup_seconds=0.5)
 
@@ -31,9 +28,8 @@ def comparison_store(tmp_path):
         config=CFG,
         runner=runner,
     )
-    rows = comparison.compare_seeds(
-        workload_ref("busyloop", target_load_percent=40.0), seeds=(0, 1)
-    )
+    workload = workload_ref("busyloop", target_load_percent=40.0)
+    rows = [comparison.compare(workload, seed) for seed in (0, 1)]
     return tmp_path, rows
 
 
@@ -63,26 +59,3 @@ class TestComparisonRowsFromStore:
         root, _ = comparison_store
         with pytest.raises(ExperimentError):
             comparison_rows_from_store(root, "android-default", "no-such-policy")
-
-
-class TestSummaryColumnsFromStore:
-    def test_columns_match_the_live_summaries(self, comparison_store):
-        root, live_rows = comparison_store
-        live = summary_columns(
-            sorted(
-                (row.candidate for row in live_rows),
-                key=lambda summary: summary.seed,
-            )
-        )
-        stored = summary_columns_from_store(
-            root, StoreQuery(policy="mobicore"), fields=tuple(live)
-        )
-        for field in live:
-            # Key order is deterministic but not seed order; compare as
-            # sorted value sets per column (floats stay bit-identical).
-            assert np.array_equal(np.sort(stored[field]), np.sort(live[field]))
-
-    def test_empty_query_is_a_typed_error(self, comparison_store):
-        root, _ = comparison_store
-        with pytest.raises(ExperimentError):
-            summary_columns_from_store(root, StoreQuery(policy="no-such-policy"))

@@ -169,8 +169,9 @@ class TestSessionBehaviour:
         re-onlines cores and raises frequency."""
         workload = StepWorkload([(4.0, 10.0), (4.0, 90.0)])
         result = self.run(MobiCorePolicy.for_platform, workload, seconds=8.0)
-        final_quarter = result.trace.measured[-50:]
-        mean_cores = sum(r.online_count for r in final_quarter) / len(final_quarter)
+        trace = result.trace
+        final_quarter = trace.buffer.online_counts(trace.warmup_ticks)[-50:]
+        mean_cores = sum(final_quarter.tolist()) / len(final_quarter)
         assert mean_cores >= 3.0
 
     def test_executes_demanded_work(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
@@ -35,6 +36,12 @@ def run_session(faults=None, policy=None, load=70.0, duration=6.0, trace=None):
     return session.run()
 
 
+def ticks_between(result, start, end=float("inf")):
+    """Row mask of the ticks stamped in ``[start, end)`` seconds."""
+    time = result.trace.buffer.scalar("time_seconds")
+    return (time >= start) & (time < end)
+
+
 def fault_events(bus):
     return [e for e in bus.events if e.category == "fault"]
 
@@ -47,16 +54,15 @@ class TestThermalThrottle:
         result = run_session(faults=plan)
         spec = nexus5_spec()
         cap = spec.opp_table.frequencies_khz[-(6 + 1)]
-        # Records are stamped at tick end, so the first record *affected*
-        # by a fault firing at t=2.0 is the one stamped one tick later.
-        inside = [
-            r for r in result.trace.records if 2.1 <= r.time_seconds < 4.0
-        ]
-        outside = [r for r in result.trace.records if r.time_seconds >= 4.5]
-        assert inside and outside
-        assert all(max(r.frequencies_khz) <= cap for r in inside)
+        # Ticks are stamped at tick end, so the first tick *affected* by
+        # a fault firing at t=2.0 is the one stamped one tick later.
+        peak = result.trace.buffer.frequencies().max(axis=1)
+        inside = peak[ticks_between(result, 2.1, 4.0)]
+        outside = peak[ticks_between(result, 4.5)]
+        assert len(inside) and len(outside)
+        assert (inside <= cap).all()
         # After the window the governor climbs back above the cap.
-        assert any(max(r.frequencies_khz) > cap for r in outside)
+        assert (outside > cap).any()
 
     def test_edges_emitted_as_typed_events(self):
         bus = TracepointBus()
@@ -83,8 +89,8 @@ class TestHotplugFail:
             faults=plan, policy=mobicore_for_phone("Nexus 5"), load=35.0,
             duration=8.0, trace=bus,
         )
-        inside = [r for r in result.trace.records if 3.0 <= r.time_seconds < 5.0]
-        masks = {tuple(r.online_mask) for r in inside}
+        inside = result.trace.buffer.online()[ticks_between(result, 3.0, 5.0)]
+        masks = {tuple(mask) for mask in inside}
         assert len(masks) == 1
         failed = [
             e for e in bus.events
@@ -99,9 +105,10 @@ class TestHotplugFail:
             faults=plan, policy=mobicore_for_phone("Nexus 5"), load=35.0,
             duration=8.0,
         )
-        after = [r for r in result.trace.records if r.time_seconds >= 2.0]
+        buffer = result.trace.buffer
+        after = buffer.online_counts()[ticks_between(result, 2.0)]
         # The governor parks cores for a 35% load once requests work again.
-        assert any(r.online_count < len(r.online_mask) for r in after)
+        assert (after < buffer.num_cores).any()
 
 
 class TestMpdecisionStall:
@@ -117,11 +124,9 @@ class TestMpdecisionStall:
             load=35.0,
             duration=8.0,
         )
-        assert clean.trace.mean_online_cores() < len(clean.trace.records[0].online_mask)
+        assert clean.trace.mean_online_cores() < clean.trace.buffer.num_cores
         # With the veto back from the dead, nothing ever goes offline.
-        assert all(
-            all(r.online_mask) for r in stalled.trace.records
-        )
+        assert stalled.trace.buffer.online().all()
 
     def test_mpdecision_state_restored_after_window(self, platform):
         session = Session(
@@ -161,10 +166,11 @@ class TestSensorDropout:
             SensorDropoutFault(at_seconds=1.0, duration_seconds=2.0)
         )
         result = run_session(faults=plan, duration=4.0)
-        inside = [r for r in result.trace.records if 1.0 <= r.time_seconds < 3.0]
+        util = result.trace.buffer.scalar("global_util_percent")
+        inside = util[ticks_between(result, 1.0, 3.0)]
         # The hardware keeps running: true utilization keeps moving even
         # though the policy is blinded.
-        assert len({round(r.global_util_percent, 3) for r in inside}) > 1
+        assert len({round(float(value), 3) for value in inside}) > 1
 
 
 class TestDeterminismAndExport:
@@ -180,9 +186,9 @@ class TestDeterminismAndExport:
         first = run_session(faults=self.full_plan())
         second = run_session(faults=self.full_plan())
         assert first.energy_mj() == second.energy_mj()
-        assert [tuple(r.frequencies_khz) for r in first.trace.records] == [
-            tuple(r.frequencies_khz) for r in second.trace.records
-        ]
+        assert np.array_equal(
+            first.trace.buffer.frequencies(), second.trace.buffer.frequencies()
+        )
 
     def test_clean_session_unaffected_by_empty_plan(self):
         clean = run_session()

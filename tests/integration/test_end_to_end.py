@@ -94,15 +94,17 @@ class TestDynamicBehaviour:
         """After a step to heavy load, MobiCore must deliver the work."""
         workload = StepWorkload([(3.0, 5.0), (5.0, 85.0)])
         result = run(MobiCorePolicy.for_platform, workload)
-        last = result.trace.measured[-25:]
-        mean_scaled = sum(r.scaled_load_percent for r in last) / len(last)
+        trace = result.trace
+        last = trace.buffer.scalar("scaled_load_percent", trace.warmup_ticks)[-25:]
+        mean_scaled = sum(last.tolist()) / len(last)
         assert mean_scaled > 60.0  # the 85% step is being served
 
     def test_quota_drops_on_light_phases(self):
         workload = StepWorkload([(4.0, 60.0), (4.0, 8.0)])
         result = run(MobiCorePolicy.for_platform, workload)
-        final = result.trace.measured[-20:]
-        assert min(r.quota for r in final) < 1.0
+        trace = result.trace
+        final = trace.buffer.scalar("quota", trace.warmup_ticks)[-20:]
+        assert min(final.tolist()) < 1.0
 
     def test_shared_rail_platform_runs_end_to_end(self):
         result = run(
@@ -112,18 +114,18 @@ class TestDynamicBehaviour:
         )
         assert result.mean_power_mw > 0
         # shared rail: both online cores always at one frequency
-        for record in result.trace.measured:
-            online_freqs = {
-                f for f, on in zip(record.frequencies_khz, record.online_mask) if on
-            }
-            assert len(online_freqs) == 1
+        trace = result.trace
+        frequencies = trace.buffer.frequencies(trace.warmup_ticks)
+        online = trace.buffer.online(trace.warmup_ticks)
+        for tick_frequencies, tick_online in zip(frequencies, online):
+            assert len(set(tick_frequencies[tick_online].tolist())) == 1
 
 
 class TestFailureInjection:
     def test_overload_never_crashes_and_reports_backlog(self):
         """Demand far beyond platform capacity: drops are accounted."""
         result = run(MobiCorePolicy.for_platform, GeekbenchWorkload())
-        total_dropped = sum(r.dropped_cycles for r in result.trace.records)
+        total_dropped = sum(result.trace.buffer.scalar("dropped_cycles").tolist())
         assert total_dropped >= 0.0
         assert result.mean_power_mw > 0
 
@@ -143,11 +145,9 @@ class TestFailureInjection:
             config=SimulationConfig(duration_seconds=60.0, seed=1, warmup_seconds=30.0),
         )
         # sustained full stress must have engaged the cap
-        final = result.trace.measured[-10:]
-        assert all(
-            r.mean_online_frequency_khz < spec.opp_table.max_frequency_khz
-            for r in final
-        )
+        trace = result.trace
+        final = trace.buffer.mean_online_frequencies(trace.warmup_ticks)[-10:]
+        assert (final < spec.opp_table.max_frequency_khz).all()
 
     def test_single_core_platform(self):
         from repro.soc.catalog import nexus_s_spec

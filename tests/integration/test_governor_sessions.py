@@ -14,7 +14,7 @@ from repro.policies.android_default import AndroidDefaultPolicy
 from repro.soc.catalog import nexus5_spec
 from repro.soc.platform import Platform
 from repro.workloads.busyloop import BusyLoopApp
-from repro.workloads.synthetic import BurstWorkload, SineWorkload
+from repro.workloads.synthetic import SineWorkload, StepWorkload
 
 CFG = SimulationConfig(duration_seconds=10.0, seed=4, warmup_seconds=2.0)
 
@@ -74,9 +74,7 @@ class TestResponsiveness:
 
     def test_interactive_reaches_higher_frequencies_on_bursts(self):
         """'a much more aggressive CPU speed scaling' than conservative."""
-        bursts = lambda: BurstWorkload(
-            10.0, 85.0, burst_start_prob=0.05, mean_burst_ticks=8
-        )
+        bursts = lambda: StepWorkload([(0.4, 10.0), (0.16, 85.0)])
         interactive = run("interactive", bursts())
         conservative = run("conservative", bursts())
         assert interactive.mean_frequency_khz > conservative.mean_frequency_khz
@@ -86,8 +84,8 @@ class TestResponsiveness:
         session = run("conservative", SineWorkload(40.0, 25.0, period_seconds=4.0))
         table = nexus5_spec().opp_table
         previous = None
-        for record in session.trace.records:
-            index = table.index_of(record.frequencies_khz[0])
+        for frequency in session.trace.buffer.frequencies()[:, 0].tolist():
+            index = table.index_of(frequency)
             if previous is not None:
                 assert abs(index - previous) <= 2
             previous = index
@@ -96,6 +94,6 @@ class TestResponsiveness:
         """The defining ondemand behaviour, visible in a session trace."""
         session = run("ondemand", BusyLoopApp(95.0))
         table = nexus5_spec().opp_table
-        frequencies = [r.frequencies_khz[0] for r in session.trace.records]
+        frequencies = session.trace.buffer.frequencies()[:, 0].tolist()
         first_max = frequencies.index(table.max_frequency_khz)
         assert first_max <= 3  # reaches fmax within the first few ticks

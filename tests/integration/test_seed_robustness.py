@@ -38,10 +38,10 @@ def comparison():
 def fresh_rows(comparison):
     rows = {}
     for game in ("Real Racing 3", "Subway Surf"):
-        per_seed = comparison.compare_seeds(
-            lambda game=game: game_workload(game), FRESH_SEEDS
-        )
-        rows[game] = per_seed
+        rows[game] = [
+            comparison.compare(lambda game=game: game_workload(game), seed=seed)
+            for seed in FRESH_SEEDS
+        ]
     return rows
 
 

@@ -30,11 +30,9 @@ class TestThrottleEngagement:
             seconds=60.0,
             warmup=30.0,
         )
-        final = result.trace.measured[-10:]
-        assert all(
-            r.mean_online_frequency_khz < spec.opp_table.max_frequency_khz
-            for r in final
-        )
+        trace = result.trace
+        final = trace.buffer.mean_online_frequencies(trace.warmup_ticks)[-10:]
+        assert (final < spec.opp_table.max_frequency_khz).all()
         # power under throttle sits below the unthrottled full-stress anchor
         assert result.mean_power_mw < 2403.0
 
@@ -60,9 +58,9 @@ class TestThrottleEngagement:
             StaticPolicy(4, spec.opp_table.max_frequency_khz),
             seconds=80.0,
         )
-        final = result.trace.records[-5:]
+        final = result.trace.buffer.scalar("temperature_c")[-5:]
         # after the quiet phase the node has cooled well below the cap
-        assert all(r.temperature_c < spec.thermal.throttle_temp_c for r in final)
+        assert (final < spec.thermal.throttle_temp_c).all()
 
     def test_unthrottled_variant_never_caps(self):
         spec = nexus5_spec(throttled=False)
@@ -73,11 +71,9 @@ class TestThrottleEngagement:
             seconds=60.0,
             warmup=30.0,
         )
-        final = result.trace.measured[-10:]
-        assert all(
-            r.mean_online_frequency_khz == spec.opp_table.max_frequency_khz
-            for r in final
-        )
+        trace = result.trace
+        final = trace.buffer.mean_online_frequencies(trace.warmup_ticks)[-10:]
+        assert (final == spec.opp_table.max_frequency_khz).all()
 
 
 class TestThrottleWithDynamicPolicies:

@@ -183,10 +183,6 @@ class TestCompatibilityKey:
         spec = make_spec("mobicore", "busyloop", faults=plan)
         assert batch_compatibility_key(spec) is None
 
-    def test_keep_columns_spec_is_rejected(self):
-        spec = make_spec("mobicore", "busyloop", keep_columns=True)
-        assert batch_compatibility_key(spec) is None
-
     def test_differing_timing_keys_differ(self):
         a = make_spec(
             "mobicore", "busyloop", config=SimulationConfig(duration_seconds=2.0)

@@ -32,18 +32,9 @@ class TestSimClock:
 
 
 class TestTask:
-    def test_defaults(self):
-        task = Task(0, "render")
-        assert not task.parallel
-        assert task.weight == 1.0
-
     def test_negative_id_rejected(self):
         with pytest.raises(WorkloadError):
             Task(-1, "x")
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(WorkloadError):
-            Task(0, "x", weight=0.0)
 
     def test_demand_non_negative(self):
         with pytest.raises(Exception):

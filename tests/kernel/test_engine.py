@@ -69,9 +69,9 @@ class TestSessionStepping:
     def test_step_auto_starts(self, tiny_config):
         session = fresh_session(tiny_config)
         assert not session.started
-        record = session.step()
+        session.step()
         assert session.started
-        assert record.tick == 0
+        assert session.result().trace.buffer.scalar("tick").tolist() == [0.0]
         assert session.ticks_run == 1
 
     def test_finished_after_all_ticks_and_step_raises(self, tiny_config):

@@ -1,4 +1,4 @@
-"""Load-balancing scheduler semantics: balance, backlog, parallelism."""
+"""Load-balancing scheduler semantics: balance, backlog, the one-core bound."""
 
 import dataclasses
 
@@ -91,14 +91,13 @@ class TestBalancing:
         assert result.busy_fractions[0] == pytest.approx(1.0)
 
     def test_heterogeneous_frequencies(self, scheduler, cluster, opp_table):
-        """A faster core takes proportionally more of a parallel task."""
+        """A faster core executes more of equal tasks than a slower one."""
         cluster.core(0).set_frequency(opp_table.max_frequency_khz)
         for core_id in (1, 2, 3):
             cluster.core(core_id).set_frequency(opp_table.min_frequency_khz)
-        work = cluster.total_capacity_cycles(DT) * 0.5
-        result = scheduler.dispatch(
-            [TaskDemand(Task(0, "p", parallel=True), work)], cluster, DT
-        )
+        work = opp_table.max_frequency_khz * 1000.0 * DT * 0.5
+        demands = [TaskDemand(Task(i, f"t{i}"), work) for i in range(4)]
+        result = scheduler.dispatch(demands, cluster, DT)
         assert result.busy_cycles[0] > result.busy_cycles[1]
 
 
@@ -109,14 +108,6 @@ class TestSingleThreadBound:
         result = scheduler.dispatch([TaskDemand(Task(0, "a"), work)], cluster, DT)
         assert result.total_executed == pytest.approx(capacity(cluster))
         assert result.total_backlog == pytest.approx(work - capacity(cluster))
-
-    def test_parallel_task_uses_all_cores(self, scheduler, cluster):
-        work = capacity(cluster) * 3.0
-        result = scheduler.dispatch(
-            [TaskDemand(Task(0, "p", parallel=True), work)], cluster, DT
-        )
-        assert result.total_executed == pytest.approx(work)
-        assert result.total_backlog == 0.0
 
 
 class TestBacklog:

@@ -4,23 +4,26 @@ import pytest
 
 from repro.errors import ConfigError, TraceError
 from repro.kernel.sysfs import SysfsTree
-from repro.kernel.tracing import TickRecord, TraceRecorder
+from repro.kernel.tracing import TraceRecorder
 
 
 def record(tick, power=1000.0, fps=None, online=(True, True, True, True)):
-    return TickRecord(
-        tick=tick,
-        time_seconds=tick * 0.02,
-        frequencies_khz=(300_000, 960_000, 960_000, 2_265_600),
-        online_mask=online,
-        busy_fractions=(0.5, 0.5, 0.0, 1.0),
-        global_util_percent=50.0,
-        quota=0.9,
-        power_mw=power,
-        cpu_power_mw=power * 0.6,
-        temperature_c=30.0,
-        fps=fps,
-        scaled_load_percent=40.0,
+    """One tick's positional ``TraceRecorder.record_tick`` arguments."""
+    return (
+        tick,
+        tick * 0.02,
+        (300_000, 960_000, 960_000, 2_265_600),
+        online,
+        (0.5, 0.5, 0.0, 1.0),
+        50.0,  # global_util_percent
+        0.9,  # quota
+        power,
+        power * 0.6,  # cpu_power_mw
+        30.0,  # temperature_c
+        0.0,  # backlog_cycles
+        0.0,  # dropped_cycles
+        fps,
+        40.0,  # scaled_load_percent
     )
 
 
@@ -93,40 +96,43 @@ class TestSysfs:
             tree.is_writable("missing")
 
 
-class TestTickRecord:
+class TestDerivedTickValues:
     def test_online_count_and_mean_freq(self):
-        r = record(0, online=(True, True, False, False))
-        assert r.online_count == 2
-        assert r.mean_online_frequency_khz == pytest.approx((300_000 + 960_000) / 2)
+        trace = TraceRecorder()
+        trace.record_tick(*record(0, online=(True, True, False, False)))
+        assert trace.buffer.online_counts()[0] == 2
+        assert trace.buffer.mean_online_frequencies()[0] == pytest.approx(
+            (300_000 + 960_000) / 2
+        )
 
 
 class TestTraceRecorder:
     def test_appends_in_order(self):
         trace = TraceRecorder()
-        trace.append(record(0))
-        trace.append(record(1))
+        trace.record_tick(*record(0))
+        trace.record_tick(*record(1))
         with pytest.raises(TraceError):
-            trace.append(record(1))
+            trace.record_tick(*record(1))
 
     def test_warmup_excluded_from_summaries(self):
         trace = TraceRecorder(warmup_ticks=1)
-        trace.append(record(0, power=9999.0))
-        trace.append(record(1, power=1000.0))
-        trace.append(record(2, power=2000.0))
+        trace.record_tick(*record(0, power=9999.0))
+        trace.record_tick(*record(1, power=1000.0))
+        trace.record_tick(*record(2, power=2000.0))
         assert trace.mean_power_mw() == pytest.approx(1500.0)
-        assert len(trace.records) == 3
-        assert len(trace.measured) == 2
+        assert len(trace) == 3
+        assert len(trace) - trace.warmup_ticks == 2
 
     def test_summary_requires_measured_ticks(self):
         trace = TraceRecorder(warmup_ticks=5)
-        trace.append(record(0))
+        trace.record_tick(*record(0))
         with pytest.raises(TraceError):
             trace.mean_power_mw()
 
     def test_means(self):
         trace = TraceRecorder()
-        trace.append(record(0, power=1000.0, fps=20.0))
-        trace.append(record(1, power=2000.0, fps=10.0))
+        trace.record_tick(*record(0, power=1000.0, fps=20.0))
+        trace.record_tick(*record(1, power=2000.0, fps=10.0))
         assert trace.mean_power_mw() == pytest.approx(1500.0)
         assert trace.mean_fps() == pytest.approx(15.0)
         assert trace.mean_online_cores() == pytest.approx(4.0)
@@ -136,13 +142,13 @@ class TestTraceRecorder:
 
     def test_fps_none_when_absent(self):
         trace = TraceRecorder()
-        trace.append(record(0, fps=None))
+        trace.record_tick(*record(0, fps=None))
         assert trace.mean_fps() is None
 
     def test_energy(self):
         trace = TraceRecorder()
-        trace.append(record(0, power=1000.0))
-        trace.append(record(1, power=1000.0))
+        trace.record_tick(*record(0, power=1000.0))
+        trace.record_tick(*record(1, power=1000.0))
         assert trace.energy_mj(0.02) == pytest.approx(40.0)
 
     def test_energy_contract_mean_power_times_duration(self):
@@ -152,8 +158,8 @@ class TestTraceRecorder:
         dt = 0.02
         trace = TraceRecorder(warmup_ticks=2)
         for tick, power in enumerate([9000.0, 8000.0, 1000.0, 2000.0, 3000.0]):
-            trace.append(record(tick, power=power))
-        measured_seconds = len(trace.measured) * dt
+            trace.record_tick(*record(tick, power=power))
+        measured_seconds = (len(trace) - trace.warmup_ticks) * dt
         assert trace.energy_mj(dt) == pytest.approx(
             trace.mean_power_mw() * measured_seconds
         )
@@ -162,7 +168,7 @@ class TestTraceRecorder:
 
     def test_csv_roundtrip_columns(self):
         trace = TraceRecorder()
-        trace.append(record(0, fps=12.5))
+        trace.record_tick(*record(0, fps=12.5))
         csv = trace.to_csv()
         header, row = csv.strip().splitlines()
         assert header.split(",")[0] == "tick"
@@ -171,15 +177,14 @@ class TestTraceRecorder:
 
     def test_csv_roundtrip_includes_scaled_load(self):
         trace = TraceRecorder()
-        trace.append(record(0, fps=12.5))
-        trace.append(record(1))
+        trace.record_tick(*record(0, fps=12.5))
+        trace.record_tick(*record(1))
         csv = trace.to_csv()
         lines = csv.strip().splitlines()
         header = lines[0].split(",")
         assert "scaled_load_pct" in header
         column = header.index("scaled_load_pct")
-        # Round-trip: every record's scaled load survives export.
-        for line, r in zip(lines[1:], trace.records):
-            assert float(line.split(",")[column]) == pytest.approx(
-                r.scaled_load_percent, abs=0.01
-            )
+        # Round-trip: every tick's scaled load survives export.
+        scaled = trace.buffer.scalar("scaled_load_percent")
+        for line, value in zip(lines[1:], scaled):
+            assert float(line.split(",")[column]) == pytest.approx(value, abs=0.01)

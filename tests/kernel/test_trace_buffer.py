@@ -1,4 +1,4 @@
-"""TraceBuffer: staged columnar appends, derived columns, npz blobs, views."""
+"""TraceBuffer: staged columnar appends, derived columns, rows."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.kernel.trace_buffer import (
     TraceBuffer,
     sequential_sum,
 )
-from repro.kernel.tracing import TickRecord, TraceRecorder, TraceView
 
 
 def row_args(tick, cores=2, fps=None, online=None):
@@ -172,57 +171,3 @@ class TestRows:
 
     def test_iter_rows_covers_every_tick(self):
         assert [row[0] for row in filled(6).iter_rows()] == list(range(6))
-
-
-class TestNpzRoundTrip:
-    def test_roundtrip_preserves_every_column(self):
-        buffer = filled(7, cores=3)
-        clone = TraceBuffer.from_npz_bytes(buffer.to_npz_bytes())
-        assert len(clone) == 7
-        assert clone.last_tick == 6
-        np.testing.assert_array_equal(clone.scalar("power_mw"), buffer.scalar("power_mw"))
-        np.testing.assert_array_equal(clone.frequencies(), buffer.frequencies())
-        np.testing.assert_array_equal(clone.online(), buffer.online())
-        np.testing.assert_array_equal(clone.busy(), buffer.busy())
-
-    def test_empty_buffer_roundtrips(self):
-        clone = TraceBuffer.from_npz_bytes(TraceBuffer().to_npz_bytes())
-        assert len(clone) == 0 and clone.last_tick is None
-
-    def test_garbage_blob_rejected(self):
-        with pytest.raises(TraceError, match="unreadable column blob"):
-            TraceBuffer.from_npz_bytes(b"definitely not an npz archive")
-
-
-class TestTraceView:
-    def test_view_is_a_lazy_sequence_of_records(self):
-        recorder = TraceRecorder(warmup_ticks=1)
-        for tick in range(4):
-            recorder.record_tick(*tuple(row_args(tick).values()))
-        records = recorder.records
-        assert isinstance(records, TraceView)
-        assert len(records) == 4
-        assert len(recorder.measured) == 3
-        assert isinstance(records[0], TickRecord)
-        assert records[-1].tick == 3
-        assert [r.tick for r in records[1:3]] == [1, 2]
-
-    def test_view_memoizes_materialized_records(self):
-        recorder = TraceRecorder()
-        recorder.record_tick(*tuple(row_args(0).values()))
-        assert recorder.records[0] is recorder.records[0]
-
-    def test_view_index_errors_like_a_list(self):
-        recorder = TraceRecorder()
-        recorder.record_tick(*tuple(row_args(0).values()))
-        with pytest.raises(IndexError, match="record 1 out of range"):
-            recorder.records[1]
-
-    def test_view_records_carry_preseeded_derived_values(self):
-        recorder = TraceRecorder()
-        args = row_args(0)
-        args.update(frequencies_khz=(400_000, 600_000), online_mask=(True, False))
-        recorder.record_tick(*tuple(args.values()))
-        record = recorder.records[0]
-        assert record.online_count == 1
-        assert record.mean_online_frequency_khz == 400_000.0

@@ -1,18 +1,9 @@
-"""Columnar per-tick exporters: CSV sync gate, JSONL, counter tracks."""
-
-import json
+"""The columnar per-tick CSV exporter and its sync gate."""
 
 import pytest
 
 from repro.kernel.tracing import TraceRecorder
-from repro.obs import (
-    TICK_CSV_COLUMNS,
-    columns_chrome_events,
-    columns_to_chrome_trace,
-    ticks_to_csv,
-    ticks_to_jsonl,
-    validate_chrome_trace,
-)
+from repro.obs import TICK_CSV_COLUMNS, ticks_to_csv
 
 
 @pytest.fixture
@@ -46,52 +37,3 @@ class TestCsv:
     def test_header_row(self, recorder):
         first = ticks_to_csv(recorder.buffer).splitlines()[0]
         assert first == ",".join(TICK_CSV_COLUMNS)
-
-
-class TestJsonl:
-    def test_one_parseable_object_per_tick(self, recorder):
-        lines = ticks_to_jsonl(recorder.buffer).strip().splitlines()
-        assert len(lines) == 4
-        docs = [json.loads(line) for line in lines]
-        assert [d["tick"] for d in docs] == [0, 1, 2, 3]
-        assert docs[0]["fps"] is None and docs[1]["fps"] == 30.0
-        assert docs[2]["online_count"] == 2 and docs[1]["online_count"] == 1
-
-    def test_session_tag_labels_every_line(self, recorder):
-        lines = ticks_to_jsonl(recorder.buffer, session="s0").strip().splitlines()
-        assert all(json.loads(line)["session"] == "s0" for line in lines)
-
-    def test_untagged_lines_omit_the_session_key(self, recorder):
-        assert "session" not in json.loads(
-            ticks_to_jsonl(recorder.buffer).splitlines()[0]
-        )
-
-
-class TestChromeCounters:
-    def test_document_validates(self, recorder):
-        document = columns_to_chrome_trace([("game", recorder.buffer)])
-        validate_chrome_trace(document)
-
-    def test_counter_tracks_and_timestamps(self, recorder):
-        events = columns_chrome_events(recorder.buffer, pid=3, label="game")
-        metadata, counters = events[0], events[1:]
-        assert metadata["ph"] == "M" and metadata["args"] == {"name": "game"}
-        assert {e["name"] for e in counters} == {
-            "power_mw",
-            "cpu_power_mw",
-            "util_percent",
-            "scaled_load_percent",
-            "quota",
-            "temperature_c",
-            "online_cores",
-        }
-        assert all(e["ph"] == "C" and e["pid"] == 3 for e in counters)
-        # 4 ticks at 20 ms: microsecond timestamps 0, 20000, 40000, 60000.
-        assert sorted({e["ts"] for e in counters}) == [0, 20_000, 40_000, 60_000]
-
-    def test_multi_session_document_gets_one_pid_each(self, recorder):
-        document = columns_to_chrome_trace(
-            [("a", recorder.buffer), ("b", recorder.buffer)]
-        )
-        validate_chrome_trace(document)
-        assert {e["pid"] for e in document["traceEvents"]} == {0, 1}

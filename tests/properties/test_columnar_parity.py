@@ -84,18 +84,23 @@ class TestColumnarParity:
 
     @settings(max_examples=30, deadline=None)
     @given(stream=tick_streams())
-    def test_lazy_records_match_legacy_records(self, stream):
+    def test_rows_match_legacy_records(self, stream):
         rows, warmup = stream
         legacy = LegacyTraceRecorder(warmup_ticks=warmup)
         columnar = TraceRecorder(warmup_ticks=warmup)
         for row in rows:
             legacy.append(LegacyTickRecord(*row))
             columnar.record_tick(*row)
-        for ours, theirs in zip(columnar.records, legacy.records):
-            assert ours.tick == theirs.tick
-            assert ours.frequencies_khz == tuple(theirs.frequencies_khz)
-            assert ours.online_mask == tuple(theirs.online_mask)
-            assert ours.busy_fractions == tuple(theirs.busy_fractions)
-            assert ours.fps == theirs.fps
-            assert ours.online_count == theirs.online_count
-            assert ours.mean_online_frequency_khz == theirs.mean_online_frequency_khz
+        buffer = columnar.buffer
+        online_counts = buffer.online_counts()
+        mean_frequencies = buffer.mean_online_frequencies()
+        assert len(buffer) == len(legacy.records)
+        for index, theirs in enumerate(legacy.records):
+            ours = buffer.row(index)
+            assert ours[0] == theirs.tick
+            assert ours[2] == tuple(theirs.frequencies_khz)
+            assert ours[3] == tuple(theirs.online_mask)
+            assert ours[4] == tuple(theirs.busy_fractions)
+            assert ours[12] == theirs.fps
+            assert online_counts[index] == theirs.online_count
+            assert mean_frequencies[index] == theirs.mean_online_frequency_khz

@@ -173,10 +173,9 @@ class RunQueueScheduler:
             core.core_id: core.capacity_cycles(dt_seconds, quota) for core in online
         }
 
-        parallel_items = [item for item in items if item.task.parallel]
-        serial_items = [item for item in items if not item.task.parallel]
+        serial_items = list(items)
 
-        # Single-thread work first, largest first, to the emptiest core:
+        # Single-thread work, largest first, to the emptiest core:
         # a thread is bound to one core for the tick.
         serial_items.sort(key=lambda item: item.total_cycles, reverse=True)
         for item in serial_items:
@@ -190,10 +189,6 @@ class RunQueueScheduler:
                 if tp.enabled:
                     tp.emit(task_id=task_id, from_core=previous, to_core=target)
             self._last_core[task_id] = target
-
-        # Parallel work divides over whatever capacity is left (water fill).
-        for item in parallel_items:
-            self._assign_parallel(item, queues, remaining)
 
         busy_cycles = [0.0] * len(cluster)
         busy_fractions = [0.0] * len(cluster)
@@ -235,30 +230,6 @@ class RunQueueScheduler:
                 existing.cycles += demand.cycles
         self._backlog.clear()
         return list(items.values())
-
-    @staticmethod
-    def _assign_parallel(
-        item: WorkItem, queues: Dict[int, RunQueue], remaining: Dict[int, float]
-    ) -> None:
-        """Split a divisible item over cores proportionally to free capacity.
-
-        Any residue beyond total free capacity lands on the emptiest core
-        so it is accounted as that task's leftover.
-        """
-        total_free = sum(remaining.values())
-        pending = item.total_cycles
-        if total_free > 0:
-            for core_id in list(remaining):
-                share = pending * remaining[core_id] / total_free
-                if share > 0:
-                    queues[core_id].assign(item.task, share)
-                    remaining[core_id] = max(0.0, remaining[core_id] - share)
-            pending = 0.0
-        if pending > 0 or total_free <= 0:
-            overflow = item.total_cycles if total_free <= 0 else pending
-            if overflow > 0:
-                target = max(remaining, key=lambda cid: remaining[cid])
-                queues[target].assign(item.task, overflow)
 
     def _store_backlog(
         self,
@@ -311,7 +282,7 @@ CYCLES = st.one_of(
 
 @st.composite
 def walks(draw):
-    """``(board, parallel flag per task id, ticks)`` as plain data.
+    """``(board, task count, ticks)`` as plain data.
 
     Each tick is ``(online mask, per-core kHz, quota, demands)``; core 0
     stays online, every core runs an OPP of its own domain, and the
@@ -320,7 +291,7 @@ def walks(draw):
     """
     board = draw(st.sampled_from(sorted(OPPS)))
     count = len(OPPS[board])
-    parallel = tuple(draw(st.lists(st.booleans(), min_size=1, max_size=6)))
+    task_count = draw(st.integers(min_value=1, max_value=6))
     ticks = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         mask = [True] + draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1))
@@ -328,12 +299,12 @@ def walks(draw):
         quota = draw(st.floats(min_value=0.1, max_value=1.0))
         demands = draw(
             st.lists(
-                st.tuples(st.integers(min_value=0, max_value=len(parallel) - 1), CYCLES),
+                st.tuples(st.integers(min_value=0, max_value=task_count - 1), CYCLES),
                 max_size=8,
             )
         )
         ticks.append((mask, frequencies, quota, demands))
-    return board, parallel, ticks
+    return board, task_count, ticks
 
 
 def fingerprint(result: DispatchResult):
@@ -362,13 +333,12 @@ class TestDispatchParity:
     @settings(max_examples=200, deadline=None)
     @given(walk=walks())
     # The emptiest core is the *first* of equally free cores.
-    @example(walk=("Nexus 5", (False,), [(ALL_ONLINE, [FMAX] * 4, 1.0, [(0, 1e7)])]))
-    # Serial work is placed before parallel work; each core runs its
-    # assignments in placement order.
+    @example(walk=("Nexus 5", 1, [(ALL_ONLINE, [FMAX] * 4, 1.0, [(0, 1e7)])]))
+    # Each core runs its assignments in placement order.
     @example(
         walk=(
             "Nexus 5",
-            (False, True),
+            2,
             [(ONE_ONLINE, [FMAX] * 4, 1.0, [(1, 3e7), (0, 3e7)])],
         )
     )
@@ -376,7 +346,7 @@ class TestDispatchParity:
     @example(
         walk=(
             "Nexus 5",
-            (True, True),
+            2,
             [
                 (ONE_ONLINE, [FMAX] * 4, 1.0, [(0, 1e8)]),
                 (ONE_ONLINE, [FMAX] * 4, 1.0, [(1, 1e7)]),
@@ -387,14 +357,14 @@ class TestDispatchParity:
     @example(
         walk=(
             "Nexus 5",
-            (False, True),
+            2,
             [(TWO_ONLINE, [FMAX] * 4, 1.0, [(0, 6e7), (0, 1e7), (1, 1e7)])],
         )
     )
     def test_walk_is_bit_identical(self, walk):
-        board, parallel, ticks = walk
+        board, task_count, ticks = walk
         cpus = build_cpus(board)
-        tasks = [Task(task_id, f"t{task_id}", parallel=flag) for task_id, flag in enumerate(parallel)]
+        tasks = [Task(task_id, f"t{task_id}") for task_id in range(task_count)]
         flat, reference = LoadBalancingScheduler(), RunQueueScheduler()
         flat_bus, reference_bus = TracepointBus(), TracepointBus()
         flat.attach_trace(flat_bus)

@@ -20,10 +20,7 @@ def demand_sets(draw):
     demands = []
     for task_id in range(count):
         cycles = draw(st.floats(min_value=0.0, max_value=3e8))
-        parallel = draw(st.booleans())
-        demands.append(
-            TaskDemand(Task(task_id, f"t{task_id}", parallel=parallel), cycles)
-        )
+        demands.append(TaskDemand(Task(task_id, f"t{task_id}"), cycles))
     return demands
 
 
@@ -81,17 +78,15 @@ class TestConservation:
     @settings(max_examples=30, deadline=None)
     @given(demands=demand_sets(), cluster=clusters())
     def test_feasible_parallel_work_completes(self, demands, cluster):
-        """When total demand fits total capacity and every serial task
-        fits one core, everything executes this tick."""
+        """When total demand fits total capacity and every task fits one
+        core, everything executes this tick."""
         scheduler = LoadBalancingScheduler()
         total_capacity = cluster.total_capacity_cycles(DT)
         core_capacity = min(
             core.capacity_cycles(DT) for core in cluster.online_cores
         )
         total = sum(d.cycles for d in demands)
-        serial_fits = all(
-            d.cycles <= core_capacity for d in demands if not d.task.parallel
-        )
+        serial_fits = all(d.cycles <= core_capacity for d in demands)
         if total <= total_capacity * 0.9 and serial_fits and len(demands) <= len(
             cluster.online_cores
         ):

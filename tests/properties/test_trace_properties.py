@@ -1,48 +1,9 @@
-"""Property-based round trips: demand traces and frame accounting."""
+"""Property-based frame accounting."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.frames import FramePipeline
-from repro.workloads.traces import DemandTrace, _TraceTask
-
-
-@st.composite
-def traces(draw):
-    task_count = draw(st.integers(min_value=1, max_value=5))
-    tasks = [
-        _TraceTask(task_id=i, name=f"task-{i}", parallel=draw(st.booleans()))
-        for i in range(task_count)
-    ]
-    tick_count = draw(st.integers(min_value=1, max_value=20))
-    ticks = []
-    for _ in range(tick_count):
-        row = {}
-        for task in tasks:
-            if draw(st.booleans()):
-                row[task.task_id] = round(
-                    draw(st.floats(min_value=0.0, max_value=1e8)), 1
-                )
-        ticks.append(row)
-    return DemandTrace(tasks, ticks, source_name="property")
-
-
-class TestTraceRoundTrip:
-    @settings(max_examples=40, deadline=None)
-    @given(trace=traces())
-    def test_csv_round_trip_preserves_demands(self, trace):
-        parsed = DemandTrace.from_csv(trace.to_csv())
-        assert len(parsed) == len(trace)
-        for tick in range(len(trace)):
-            assert parsed.demand_at(tick) == pytest.approx(trace.demand_at(tick))
-
-    @settings(max_examples=40, deadline=None)
-    @given(trace=traces())
-    def test_csv_round_trip_preserves_tasks(self, trace):
-        parsed = DemandTrace.from_csv(trace.to_csv())
-        assert parsed.tasks == trace.tasks
-        assert parsed.source_name == trace.source_name
 
 
 class TestFrameConservation:

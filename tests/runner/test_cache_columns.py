@@ -1,10 +1,14 @@
-"""Cache format v3: column blobs, v2 read-migration, runner telemetry."""
+"""Cache format v3: older column blobs, v2 read-migration, runner telemetry."""
 
 import dataclasses
+import hashlib
+import io
 import json
 
+import numpy as np
+
 from repro.config import SimulationConfig
-from repro.kernel.trace_buffer import TraceBuffer
+from repro.kernel.trace_buffer import SCALAR_COLUMNS
 from repro.runner import (
     FactoryRef,
     ResultCache,
@@ -29,6 +33,33 @@ def busyloop_spec(**overrides):
     )
     values.update(overrides)
     return SessionSpec(**values)
+
+
+def add_column_blob(cache, key):
+    """Give *key*'s entry the column blob a version-3 writer used to add.
+
+    The blob is a compressed ``.npz`` of the four column blocks, and the
+    entry references it by file name, size and sha256; the summary
+    checksum does not cover the reference.
+    """
+    stream = io.BytesIO()
+    np.savez_compressed(
+        stream,
+        scalars=np.zeros((3, len(SCALAR_COLUMNS))),
+        frequencies_khz=np.full((3, 4), 960_000, dtype=np.int64),
+        online_mask=np.ones((3, 4), dtype=bool),
+        busy_fractions=np.zeros((3, 4)),
+    )
+    blob = stream.getvalue()
+    cache.columns_path(key).write_bytes(blob)
+    path = cache.path(key)
+    document = json.loads(path.read_text())
+    document["columns"] = {
+        "file": cache.columns_path(key).name,
+        "bytes": len(blob),
+        "checksum": hashlib.sha256(blob).hexdigest(),
+    }
+    path.write_text(json.dumps(document, sort_keys=True))
 
 
 def rewrite_as_v2(cache, key):
@@ -72,72 +103,32 @@ class TestV2Migration:
 
 
 class TestColumnBlobs:
-    def test_keep_columns_stores_a_loadable_blob(self, tmp_path):
-        spec = busyloop_spec(keep_columns=True)
-        runner = SessionRunner(jobs=1, cache_dir=tmp_path)
-        runner.run([spec])
+    """Entries an older writer stored with a ``.npz`` column blob beside them."""
+
+    def test_v3_entry_with_blob_is_a_verified_hit(self, tmp_path):
+        spec = busyloop_spec()
+        first = SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
         cache = ResultCache(tmp_path)
         key = spec.cache_key()
-        assert cache.has_columns(key)
-        blob = cache.load_columns(key)
-        buffer = TraceBuffer.from_npz_bytes(blob)
-        assert len(buffer) == CFG.total_ticks
-        document = json.loads(cache.path(key).read_text())
-        assert document["columns"]["bytes"] == len(blob)
+        add_column_blob(cache, key)
 
-    def test_blob_matches_the_session_trace(self, tmp_path):
-        spec = busyloop_spec(keep_columns=True)
-        execution = execute_spec_full(spec)
-        SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
-        blob = ResultCache(tmp_path).load_columns(spec.cache_key())
-        assert blob == execution.columns
+        lookup = cache.lookup(key)
+        assert lookup.hit and lookup.version == 3
+        cold = SessionRunner(jobs=1, cache_dir=tmp_path)
+        assert cold.run([spec]) == first
+        assert cold.last_stats.cache_hits == 1
+        assert cold.last_stats.sessions_executed == 0
 
-    def test_plain_spec_stores_no_blob(self, tmp_path):
+    def test_quarantine_moves_blob_with_entry(self, tmp_path):
         spec = busyloop_spec()
         SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
         cache = ResultCache(tmp_path)
-        assert not cache.has_columns(spec.cache_key())
-        assert cache.load_columns(spec.cache_key()) is None
-
-    def test_corrupt_blob_is_quarantined_and_none(self, tmp_path):
-        spec = busyloop_spec(keep_columns=True)
-        SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
-        cache = ResultCache(tmp_path)
         key = spec.cache_key()
-        cache.columns_path(key).write_bytes(b"flipped bits")
-        assert cache.load_columns(key) is None
-        assert not cache.columns_path(key).exists()
-        assert (cache.quarantine_root / cache.columns_path(key).name).exists()
-
-    def test_quarantine_moves_blob_with_entry(self, tmp_path):
-        spec = busyloop_spec(keep_columns=True)
-        SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
-        cache = ResultCache(tmp_path)
-        key = spec.cache_key()
+        add_column_blob(cache, key)
         cache.quarantine(key)
         assert not cache.path(key).exists()
         assert not cache.columns_path(key).exists()
         assert (cache.quarantine_root / f"{key}.npz").exists()
-
-
-class TestKeepColumnsExecution:
-    def test_summary_only_entry_forces_reexecution(self, tmp_path):
-        plain = busyloop_spec()
-        runner = SessionRunner(jobs=1, cache_dir=tmp_path)
-        runner.run([plain])
-        wants_columns = dataclasses.replace(plain, keep_columns=True)
-        runner.run([wants_columns])
-        # Same cache identity, but the entry had no blob: must re-run.
-        assert runner.last_stats.sessions_executed == 1
-        assert ResultCache(tmp_path).has_columns(plain.cache_key())
-
-    def test_entry_with_blob_serves_keep_columns_spec(self, tmp_path):
-        spec = busyloop_spec(keep_columns=True)
-        SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
-        cold = SessionRunner(jobs=1, cache_dir=tmp_path)
-        cold.run([spec])
-        assert cold.last_stats.sessions_executed == 0
-        assert cold.last_stats.cache_hits == 1
 
 
 class TestTraceTelemetry:
@@ -145,7 +136,6 @@ class TestTraceTelemetry:
         execution = execute_spec_full(busyloop_spec())
         assert execution.trace_bytes > 0
         assert execution.peak_recorder_bytes >= execution.trace_bytes
-        assert execution.columns is None
 
     def test_runner_stats_accumulate_trace_bytes(self):
         runner = SessionRunner(jobs=1)

@@ -119,11 +119,6 @@ class TestCacheKey:
         assert KEY_SCHEMA_VERSION == 2
         assert CACHE_FORMAT_VERSION == 3
 
-    def test_keep_columns_does_not_change_cache_identity(self):
-        spec = make_spec()
-        with_columns = dataclasses.replace(spec, keep_columns=True)
-        assert spec.cache_key() == with_columns.cache_key()
-
     @pytest.mark.parametrize(
         "variant",
         [

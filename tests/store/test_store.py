@@ -31,6 +31,8 @@ from repro.store import (
     index_row_from_document,
 )
 
+from ..runner.test_cache_columns import add_column_blob
+
 CFG = SimulationConfig(duration_seconds=2.0, seed=0, warmup_seconds=0.5)
 
 
@@ -301,6 +303,21 @@ class TestGc:
         assert not list(root.glob("*.npz"))
         assert not list(root.glob(".*.tmp"))
 
+    def test_blob_of_a_vanished_v3_entry_is_swept(self, tmp_path):
+        spec = sweep_specs(seeds=(0,), policies=("android-default",))[0]
+        SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
+        cache = ResultCache(tmp_path)
+        key = spec.cache_key()
+        add_column_blob(cache, key)
+        with ExperimentStore(tmp_path) as store:
+            assert store.query(StoreQuery(columns=("has_columns",)))[0]["has_columns"]
+        cache.path(key).unlink()
+        with ExperimentStore(tmp_path) as store:
+            report = store.gc()
+            assert report.dangling_blobs == (cache.columns_path(key).name,)
+            assert key not in store
+        assert not cache.columns_path(key).exists()
+
     def test_vanished_entry_prunes_its_index_row(self, warm_cache):
         root, specs, _ = warm_cache
         with ExperimentStore(root) as store:
@@ -314,23 +331,18 @@ class TestGc:
             assert len(store) == len(specs) - 1
 
     def test_corrupt_columns_entry_leaves_no_dangling_blob(self, tmp_path):
-        """Satellite: quarantine a v3-with-columns entry; gc finds no orphan.
+        """Quarantine a v3-with-columns entry; gc finds no orphan.
 
-        Damage the entry of a run that cached a column blob, let the
-        cache quarantine it (entry *and* sibling ``.npz`` move), then
-        assert the store's gc sweep sees nothing dangling left behind.
+        Damage the entry of a run that carries a column blob (as an
+        older writer left it), let the cache quarantine it (entry *and*
+        sibling ``.npz`` move), then assert the store's gc sweep sees
+        nothing dangling left behind.
         """
         spec = sweep_specs(seeds=(0,), policies=("android-default",))[0]
-        spec = SessionSpec(
-            platform=spec.platform,
-            policy=spec.policy,
-            workload=spec.workload,
-            config=spec.config,
-            keep_columns=True,
-        )
         SessionRunner(jobs=1, cache_dir=tmp_path).run([spec])
         cache = ResultCache(tmp_path)
         key = spec.cache_key()
+        add_column_blob(cache, key)
         assert cache.columns_path(key).exists()
 
         entry = cache.path(key)

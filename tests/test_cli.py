@@ -5,8 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.scenario import Scenario, ScenarioMatrix
+from repro.cli import _build_workload, _parse_policies, main
+from repro.scenario import (
+    POLICY_REGISTRY,
+    WORKLOAD_REGISTRY,
+    Scenario,
+    ScenarioMatrix,
+    policy_ref,
+)
 from repro.config import SimulationConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +94,14 @@ class TestCompare:
         assert "FPS" in out
         assert "fps ratio" in out
 
+    def test_registered_game_key(self, capsys):
+        code = main(
+            ["compare", "--workload", "game:subwaysurf", "--duration", "5",
+             "--warmup", "1", "--pin-uncore"]
+        )
+        assert code == 0
+        assert "fps ratio" in capsys.readouterr().out
+
     def test_unknown_workload_kind(self, capsys):
         assert main(["compare", "--workload", "doom:3"]) == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -164,6 +178,40 @@ class TestScenarios:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestRegisteredNames:
+    """``--workload`` and ``--policies`` take every registry key."""
+
+    @pytest.mark.parametrize("key", [key for key in WORKLOAD_REGISTRY if key != "game"])
+    def test_every_workload_key_builds(self, key):
+        assert _build_workload(key)().name
+
+    def test_game_title_and_key_share_a_cache_key(self):
+        by_key = _build_workload("game:subwaysurf")
+        by_title = _build_workload("game:Subway Surf")
+        assert by_key.payload() == by_title.payload()
+
+    @pytest.mark.parametrize("key", [key for key in POLICY_REGISTRY if key != "static"])
+    def test_every_policy_key_parses(self, key):
+        [(label, ref)] = _parse_policies(key, "Odroid-XU3")
+        assert label == ("android" if key == "android-default" else key)
+        assert ref.payload() == policy_ref(key, platform="Odroid-XU3").payload()
+
+    def test_key_that_needs_parameters_fails_cleanly(self, capsys, tmp_path):
+        argv = ["trace", "run", "--policies", "static", "--duration", "1",
+                "--warmup", "0.5", "--out", str(tmp_path / "t.json")]
+        assert main(argv) == 2
+        assert "policy 'static' takes parameters" in capsys.readouterr().err
+
+    def test_android_alias_keeps_its_label(self):
+        labels = [label for label, _ in _parse_policies("android,default", "Nexus 5")]
+        assert labels == ["android", "android"]
+
+    def test_faults_demo_takes_a_registered_key(self, capsys):
+        argv = ["faults", "demo", "--workload", "game:angrybirds", "--duration", "6"]
+        assert main(argv) == 0
+        assert "thermal_throttle: fired" in capsys.readouterr().out
+
+
 class TestScenarioFlags:
     def test_compare_accepts_a_scenario_document(self, capsys, tmp_path):
         path = tmp_path / "one.json"
@@ -172,6 +220,15 @@ class TestScenarioFlags:
         out = capsys.readouterr().out
         assert "power saving" in out
         assert "mobicore" in out
+
+    def test_compare_names_the_candidate_column_after_the_policy(self, capsys, tmp_path):
+        path = tmp_path / "eas.json"
+        scenario = short_scenario(platform="Odroid-XU3", policy="energy-aware")
+        path.write_text(scenario.to_json(), encoding="utf-8")
+        assert main(["compare", "--scenario", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("metric"))
+        assert header.split() == ["metric", "android", "energy-aware"]
 
     def test_compare_rejects_matrix_documents(self, capsys, tmp_path):
         path = tmp_path / "grid.json"
@@ -232,6 +289,14 @@ class TestTrace:
         assert header == "ts_us,session,category,name,payload"
         assert main(["trace", "summary", str(out)]) == 0
         assert "policy:decision" in capsys.readouterr().out
+
+    def test_any_registered_policy_on_a_big_little_board(self, capsys, tmp_path):
+        argv = self.trace_args(tmp_path / "eas.json")
+        argv[argv.index("android")] = "android,energy-aware"
+        assert main(argv + ["--phone", "Odroid-XU3"]) == 0
+        out = capsys.readouterr().out
+        assert "busyloop:40/android" in out
+        assert "busyloop:40/energy-aware" in out
 
     def test_unknown_policy_fails_cleanly(self, capsys, tmp_path):
         argv = self.trace_args(tmp_path / "t.json")

@@ -55,7 +55,7 @@ class TestSubpackages:
         assert callable(main)
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        """The CLI runs on a numpy-only install: scipy loads on demand."""
+        """The CLI runs on a numpy-only install: nothing imports scipy."""
         import pathlib
         import subprocess
         import sys

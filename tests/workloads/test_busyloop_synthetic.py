@@ -6,9 +6,7 @@ from repro.errors import WorkloadError
 from repro.workloads.base import WorkloadContext
 from repro.workloads.busyloop import BusyLoopApp
 from repro.workloads.synthetic import (
-    BurstWorkload,
     ConstantWorkload,
-    RampWorkload,
     SineWorkload,
     StepWorkload,
 )
@@ -107,13 +105,6 @@ class TestSyntheticPatterns:
         with pytest.raises(WorkloadError):
             StepWorkload([])
 
-    def test_ramp(self, context):
-        workload = RampWorkload(0.0, 100.0, ramp_seconds=1.0)
-        workload.prepare(context)
-        assert workload.level_percent(0) == pytest.approx(0.0)
-        assert workload.level_percent(25) == pytest.approx(50.0)
-        assert workload.level_percent(200) == pytest.approx(100.0)  # holds
-
     def test_sine_oscillates_around_mean(self, context):
         workload = SineWorkload(50.0, 20.0, period_seconds=1.0)
         workload.prepare(context)
@@ -121,21 +112,6 @@ class TestSyntheticPatterns:
         assert max(levels) == pytest.approx(70.0, abs=1.0)
         assert min(levels) == pytest.approx(30.0, abs=1.0)
         assert sum(levels) / len(levels) == pytest.approx(50.0, abs=1.0)
-
-    def test_burst_levels(self, context):
-        workload = BurstWorkload(10.0, 90.0, burst_start_prob=0.2, mean_burst_ticks=5)
-        workload.prepare(context)
-        levels = {workload.level_percent(t) for t in range(300)}
-        assert levels == {10.0, 90.0}
-
-    def test_burst_deterministic_per_seed(self, opp_table):
-        def levels(seed):
-            workload = BurstWorkload(10.0, 90.0, burst_start_prob=0.2)
-            workload.prepare(WorkloadContext(4, opp_table, DT, seed))
-            return [workload.level_percent(t) for t in range(100)]
-
-        assert levels(1) == levels(1)
-        assert levels(1) != levels(2)
 
     def test_demand_clamped_to_platform(self, context):
         workload = SineWorkload(90.0, 20.0, period_seconds=1.0)

@@ -1,11 +1,10 @@
-"""The five game workloads and trace record/replay."""
+"""The five game workloads."""
 
 import pytest
 
-from repro.errors import TraceError, WorkloadError
+from repro.errors import WorkloadError
 from repro.workloads.base import WorkloadContext
 from repro.workloads.games import GAME_PROFILES, GameProfile, game_workload
-from repro.workloads.traces import DemandTrace, TraceWorkload
 
 DT = 0.02
 
@@ -98,54 +97,3 @@ class TestGameWorkload:
         with pytest.raises(WorkloadError):
             GameProfile(name="bad", frame_cost_cycles=1e8, worker_count=-1,
                         worker_mean_percent=10.0)
-
-
-class TestDemandTrace:
-    def test_capture_and_replay_identical(self, context, opp_table):
-        source = game_workload("Badland")
-        trace = DemandTrace.capture(source, context, ticks=40)
-        replay = TraceWorkload(trace)
-        replay.prepare(
-            WorkloadContext(4, opp_table, DT, seed=999)  # seed is irrelevant
-        )
-        fresh = game_workload("Badland")
-        fresh.prepare(context)
-        for tick in range(40):
-            expected = {d.task.task_id: d.cycles for d in fresh.demand(tick)}
-            actual = {d.task.task_id: d.cycles for d in replay.demand(tick)}
-            assert actual == pytest.approx(expected)
-
-    def test_replay_past_end_is_idle(self, context):
-        trace = DemandTrace.capture(game_workload("Badland"), context, ticks=5)
-        replay = TraceWorkload(trace)
-        replay.prepare(context)
-        assert replay.demand(100) == []
-
-    def test_replay_loops_when_asked(self, context):
-        trace = DemandTrace.capture(game_workload("Badland"), context, ticks=5)
-        replay = TraceWorkload(trace, loop=True)
-        replay.prepare(context)
-        assert replay.demand(5) is not None
-        first = {d.task.task_id: d.cycles for d in replay.demand(0)}
-        looped = {d.task.task_id: d.cycles for d in replay.demand(5)}
-        assert looped == pytest.approx(first)
-
-    def test_csv_roundtrip(self, context):
-        trace = DemandTrace.capture(game_workload("Angry Birds"), context, ticks=20)
-        parsed = DemandTrace.from_csv(trace.to_csv())
-        assert len(parsed) == len(trace)
-        assert parsed.source_name == trace.source_name
-        for tick in range(len(trace)):
-            assert parsed.demand_at(tick) == pytest.approx(trace.demand_at(tick))
-
-    def test_bad_csv_rejected(self):
-        with pytest.raises(TraceError):
-            DemandTrace.from_csv("")
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(TraceError):
-            DemandTrace(tasks=[], ticks=[{0: 1.0}])
-
-    def test_capture_needs_ticks(self, context):
-        with pytest.raises(TraceError):
-            DemandTrace.capture(game_workload("Badland"), context, ticks=0)
